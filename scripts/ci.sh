@@ -22,6 +22,13 @@ python -m pytest -q
 # runs in the plain pass above; this re-runs the three seed-0 traces
 # standalone so a sharding regression is named in the CI log).
 python -m pytest -q "tests/test_shard_equivalence.py::TestTraceEquivalence::test_sharded_trace_bit_identical" -k "0-"
+# Hash-seed independence: triangles come from intersecting string sets, so
+# the compiled violation order (pinned against the legacy enumerators) and
+# the golden traces must not depend on PYTHONHASHSEED.
+for hash_seed in 0 4242; do
+    PYTHONHASHSEED=$hash_seed python -m pytest -q \
+        tests/test_cycle_order_pin.py tests/test_golden*.py
+done
 # Durability: crash at every round boundary of a seeded crowd run, recover
 # from checkpoint + journal, require a bit-identical final trace.
 python scripts/chaos_smoke.py

@@ -45,6 +45,7 @@ from __future__ import annotations
 import abc
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -181,20 +182,49 @@ class CycleConstraint(Constraint):
         self,
         correspondences: Sequence[Correspondence],
         graph: InteractionGraph,
+        through: Optional[Iterable[tuple[str, str]]] = None,
     ) -> Iterator[Violation]:
+        """Yield the minimal violations, optionally only those on cycles
+        through the ``through`` edges (see :meth:`InteractionGraph.cycles`).
+
+        A full compile and the delta pipeline's anchored rediscovery are
+        this one kernel; only the cycle enumeration differs.
+        """
         by_edge: dict[tuple[str, str], list[Correspondence]] = {}
         for corr in correspondences:
             by_edge.setdefault(corr.schema_pair, []).append(corr)
+        # A cycle with a candidate-free edge closes no chain: enumerate
+        # cycles over the candidate-bearing edges only.
+        live = InteractionGraph(
+            edges=[edge for edge in by_edge if graph.has_edge(*edge)]
+        )
+        index = _JunctionIndex(by_edge)
         seen: set[frozenset[Correspondence]] = set()
-        for cycle in graph.cycles(max_length=self.max_cycle_length):
+        for cycle in live.cycles(self.max_cycle_length, through=through):
+            k = len(cycle)
+            # edges[i] joins cycle[i] and cycle[i+1] (sorted, as by_edge).
+            edges = [
+                (a, b) if a < b else (b, a)
+                for a, b in zip(cycle, cycle[1:] + cycle[:1])
+            ]
             # A violating set has exactly one *disagreeing* corner; the
             # chain construction below only finds it when that corner is an
             # endpoint of the closing edge, so every rotation of the cycle
             # must be tried (each violation is then found from the two
             # rotations that flank its disagreeing corner — dedupe).
-            for rotation in range(len(cycle)):
-                rotated = cycle[rotation:] + cycle[:rotation]
-                for violation in self._cycle_violations(rotated, by_edge):
+            for rotation in range(k):
+                # Most rotations share no attribute at their first chain
+                # junction: reject them before building any chain.
+                junction = cycle[(rotation + 1) % k]
+                first, second = edges[rotation], edges[(rotation + 1) % k]
+                if index[first, junction].keys().isdisjoint(index[second, junction]):
+                    continue
+                for violation in self._cycle_violations(
+                    cycle[rotation:] + cycle[:rotation],
+                    edges[rotation:] + edges[:rotation],
+                    by_edge,
+                    index,
+                ):
                     if violation.correspondences not in seen:
                         seen.add(violation.correspondences)
                         yield violation
@@ -202,43 +232,92 @@ class CycleConstraint(Constraint):
     def _cycle_violations(
         self,
         cycle: tuple[str, ...],
+        edges: list[tuple[str, str]],
         by_edge: dict[tuple[str, str], list[Correspondence]],
+        index: "_JunctionIndex",
     ) -> Iterator[Violation]:
         """Enumerate violations whose disagreeing corner flanks the closing
-        edge (cycle[0]–cycle[k-1]) of this cycle rotation."""
+        edge (cycle[0]–cycle[k-1]) of this cycle rotation.
+
+        Emission order is the nested-loop order: chains in lexicographic
+        position order along edges 0..k-2, then closing candidates in
+        closing-list order.
+        """
         k = len(cycle)
-        edges = [tuple(sorted((cycle[i], cycle[(i + 1) % k]))) for i in range(k)]
-        if any(edge not in by_edge for edge in edges):
-            return
-        # Build every chain along edges 0..k-2, i.e. correspondences that
-        # compose through the interior schemas cycle[1..k-1].
-        chains: list[list[Correspondence]] = [[corr] for corr in by_edge[edges[0]]]
+        # Chains along edges 0..k-2 (correspondences composing through the
+        # interior schemas cycle[1..k-1]) as (members, start name, tail
+        # name), joined junction by junction through the hash index.
+        if cycle[0] == edges[0][0]:
+            chains = [
+                ((corr,), corr.source.name, corr.target.name)
+                for corr in by_edge[edges[0]]
+            ]
+        else:
+            chains = [
+                ((corr,), corr.target.name, corr.source.name)
+                for corr in by_edge[edges[0]]
+            ]
         for step in range(1, k - 1):
-            junction = cycle[step]
-            extended: list[list[Correspondence]] = []
-            for chain in chains:
-                tail = chain[-1].endpoint_in(junction)
-                for corr in by_edge[edges[step]]:
-                    if corr.endpoint_in(junction) == tail:
-                        extended.append(chain + [corr])
+            edge = edges[step]
+            corrs = by_edge[edge]
+            lookup = index[edge, cycle[step]]
+            far_is_source = cycle[step + 1] == edge[0]
+            extended = []
+            for members, start, tail in chains:
+                for position in lookup.get(tail, ()):
+                    corr = corrs[position]
+                    extended.append(
+                        (
+                            members + (corr,),
+                            start,
+                            corr.source.name if far_is_source else corr.target.name,
+                        )
+                    )
             chains = extended
             if not chains:
                 return
         closing_edge = edges[k - 1]
-        first_schema, last_schema = cycle[0], cycle[k - 1]
-        for chain in chains:
-            chain_start = chain[0].endpoint_in(first_schema)
-            chain_end = chain[-1].endpoint_in(last_schema)
-            for closing in by_edge[closing_edge]:
-                start_agrees = closing.endpoint_in(first_schema) == chain_start
-                end_agrees = closing.endpoint_in(last_schema) == chain_end
-                # Exactly one agreeing end => the composition contradicts the
-                # direct correspondence.  Both agreeing => closed cycle (ok);
-                # neither => unrelated (no contradiction, not minimal).
-                if start_agrees != end_agrees:
-                    members = frozenset(chain) | {closing}
-                    if len(members) == k:  # guard against degenerate reuse
-                        yield Violation(self.name, members)
+        closings = by_edge[closing_edge]
+        at_start = index[closing_edge, cycle[0]]
+        at_end = index[closing_edge, cycle[k - 1]]
+        for members, start, end in chains:
+            # Exactly one agreeing end => the composition contradicts the
+            # direct correspondence.  Both agreeing => closed cycle (ok);
+            # neither => unrelated (no contradiction, not minimal).  The
+            # members span distinct edges of a simple cycle, so they are
+            # k distinct correspondences.
+            agree_start = at_start.get(start, ())
+            agree_end = at_end.get(end, ())
+            if not agree_start and not agree_end:
+                continue
+            for position in sorted(set(agree_start).symmetric_difference(agree_end)):
+                yield Violation(
+                    self.name, frozenset(members + (closings[position],))
+                )
+
+
+class _JunctionIndex(dict):
+    """The cycle constraint's hash-join index.
+
+    ``index[edge, schema]`` maps an attribute name of ``schema`` (one end
+    of ``edge``) to the ascending positions in ``by_edge[edge]`` of the
+    candidates with that endpoint.  Each edge is indexed on first use, so
+    anchored discovery touches only the edges its cycles use.
+    """
+
+    def __init__(self, by_edge: dict[tuple[str, str], list[Correspondence]]):
+        super().__init__()
+        self.by_edge = by_edge
+
+    def __missing__(self, key):
+        edge = key[0]
+        # A candidate's source lies in edge[0] (canonical endpoint order).
+        left = self[edge, edge[0]] = {}
+        right = self[edge, edge[1]] = {}
+        for position, corr in enumerate(self.by_edge[edge]):
+            left.setdefault(corr.source.name, []).append(position)
+            right.setdefault(corr.target.name, []).append(position)
+        return self[key]
 
 
 class MutualExclusionConstraint(Constraint):
@@ -416,12 +495,6 @@ class ConstraintEngine:
         self.violation_sources: tuple[tuple[int, ...], ...] = tuple(
             tuple(contributors) for contributors in sources
         )
-        self._involving: dict[Correspondence, list[Violation]] = {
-            corr: [] for corr in self.correspondences
-        }
-        for violation in self.violations:
-            for corr in violation:
-                self._involving.setdefault(corr, []).append(violation)
         if validate:
             self._validate_compilation()
         self._compile_index_space()
@@ -452,10 +525,6 @@ class ConstraintEngine:
         engine.violation_sources = tuple(
             tuple(contributors) for contributors in sources
         )
-        engine._involving = {corr: [] for corr in engine.correspondences}
-        for violation in engine.violations:
-            for corr in violation:
-                engine._involving.setdefault(corr, []).append(violation)
         engine._compile_index_space()
         return engine
 
@@ -529,15 +598,14 @@ class ConstraintEngine:
         )
         self.bits: tuple[int, ...] = tuple(1 << i for i in range(n))
         self.full_mask: int = (1 << n) - 1
-
-        # Canonical rank per index — repair's deterministic tie-break removes
-        # the canonically smallest correspondence, which is not the smallest
-        # index (indices follow candidate insertion order).
-        order = sorted(range(n), key=lambda i: self.correspondences[i])
-        rank = [0] * n
-        for position, i in enumerate(order):
-            rank[i] = position
-        self._rank: tuple[int, ...] = tuple(rank)
+        # Violations per involved candidate (violation-free candidates get
+        # no entry: most of a large network, and every entry is a
+        # long-lived container the cyclic GC must traverse).
+        involving: dict[Correspondence, list[Violation]] = {}
+        for violation in self.violations:
+            for corr in violation:
+                involving.setdefault(corr, []).append(violation)
+        self._involving = involving
 
         index_of = self.index_of
         vmasks: list[int] = []
@@ -577,12 +645,6 @@ class ConstraintEngine:
         self.conflicted_mask: int = conflicted
         self.conflicted_count: int = conflicted.bit_count()
         self.violation_free_mask: int = self.full_mask & ~conflicted
-        # Fused per-index rows for the maximalisation scan: one tuple unpack
-        # per tried candidate instead of three separate table hits.
-        self._scan_rows: tuple[tuple[int, int, tuple[int, ...]], ...] = tuple(
-            (self.bits[i], pair_partners[i], self._large_vmasks[i])
-            for i in range(n)
-        )
         # Union of every co-member of every violation involving an index:
         # if a selection misses this union entirely, adding the index cannot
         # activate anything — the repair kernel's fast-exit probe.  An index
@@ -590,9 +652,11 @@ class ConstraintEngine:
         # activates regardless of co-members, so its probe is disabled
         # (None) rather than encoded as a mask.
         conflict_union: list[int | None] = list(pair_partners)
-        for i in range(n):
-            bit = 1 << i
-            for vmask in self._large_vmasks[i]:
+        for i, masks in enumerate(large):
+            if not masks:
+                continue
+            bit = self.bits[i]
+            for vmask in masks:
                 if vmask == bit:
                     conflict_union[i] = None
                     break
@@ -658,6 +722,32 @@ class ConstraintEngine:
         self._byte_slots: tuple[dict[int, tuple[Correspondence, ...]], ...] = tuple(
             {} for _ in range(self._nbytes)
         )
+
+    @cached_property
+    def _scan_rows(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Fused per-index rows for the maximalisation scan: one tuple
+        unpack per tried candidate instead of three separate table hits.
+        Built on first use — n tuples an engine that never maximalises
+        (a sharded session's global engine) does not need."""
+        return tuple(zip(self.bits, self._pair_partners, self._large_vmasks))
+
+    @cached_property
+    def _rank(self) -> tuple[int, ...]:
+        """Canonical rank per index — repair's deterministic tie-break
+        removes the canonically smallest correspondence, which is not the
+        smallest index (indices follow candidate insertion order).
+
+        Computed on first use: engines that never repair (the global
+        engine of a sharded session, enumerated shards) skip the sort.
+        Sorting by precomputed ``_key()`` tuples compares in C; the
+        order is exactly ``Correspondence.__lt__``'s.
+        """
+        keys = [corr._key() for corr in self.correspondences]
+        order = sorted(range(self.n), key=keys.__getitem__)
+        rank = [0] * self.n
+        for position, i in enumerate(order):
+            rank[i] = position
+        return tuple(rank)
 
     # ------------------------------------------------------------------
     # Mask conversions (module-boundary helpers)

@@ -9,7 +9,7 @@ that are useful for examples and tests.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class InteractionGraph:
@@ -66,38 +66,54 @@ class InteractionGraph:
         return len(self._adjacency[node])
 
     def triangles(self) -> Iterator[tuple[str, str, str]]:
-        """Yield each 3-clique once, with nodes in sorted order."""
-        for left, right in self.edges:
-            common = self._adjacency[left] & self._adjacency[right]
-            for third in sorted(common):
-                if third > right:
-                    yield (left, right, third)
+        """Yield each 3-clique once, with nodes in sorted order.
 
-    def cycles(self, max_length: int = 3) -> Iterator[tuple[str, ...]]:
+        Triangles come from common-neighbour intersections, in the order
+        :meth:`cycles` emits length-3 cycles: smallest node ascending,
+        then the middle node descending, then the largest descending.
+        """
+        adjacency = self._adjacency
+        for start in sorted(adjacency):
+            around = adjacency[start]
+            for second in sorted((n for n in around if n > start), reverse=True):
+                common = around & adjacency[second]
+                for third in sorted((n for n in common if n > second), reverse=True):
+                    yield (start, second, third)
+
+    def cycles(
+        self,
+        max_length: int = 3,
+        through: Optional[Iterable[tuple[str, str]]] = None,
+    ) -> Iterator[tuple[str, ...]]:
         """Yield simple cycles of length 3..max_length, each exactly once.
 
         Cycles are emitted as node tuples starting from their smallest node
         and continuing towards the smaller of that node's two cycle
-        neighbours, which canonicalises direction.
+        neighbours, which canonicalises direction (a triangle is therefore
+        its sorted node triple).
+
+        ``through`` restricts the enumeration to cycles that use at least
+        one of the given edges (the delta pipeline's anchored
+        rediscovery); the work is then bounded by those edges'
+        neighbourhoods, not the graph's whole cycle space.
+
+        The emission order is part of the contract — it fixes the order of
+        every compiled violation list.  Full enumeration is the per-start
+        depth-first order: start ascending, then the second node
+        descending, then the third descending.  Anchored enumeration takes
+        the anchors in sorted order and, per anchor ``(start, goal)``,
+        closes the paths start → … → goal depth-first, skipping cycles an
+        earlier anchor already produced.  Length-3 cycles come from
+        common-neighbour intersections in exactly those orders; longer
+        bounds walk paths.
         """
         if max_length < 3:
-            return
-        nodes = sorted(self._adjacency)
-        for start in nodes:
-            stack: list[tuple[str, ...]] = [(start,)]
-            while stack:
-                path = stack.pop()
-                head = path[-1]
-                for neighbour in sorted(self._adjacency[head]):
-                    if neighbour == start and len(path) >= 3:
-                        # Canonical direction: second node < last node.
-                        if path[1] < path[-1]:
-                            yield path
-                        continue
-                    if neighbour <= start or neighbour in path:
-                        continue
-                    if len(path) < max_length:
-                        stack.append(path + (neighbour,))
+            return iter(())
+        if through is not None:
+            return _anchored_cycles(self._adjacency, through, max_length)
+        if max_length == 3:
+            return self.triangles()
+        return _dfs_cycles(self._adjacency, max_length)
 
     def __contains__(self, node: object) -> bool:
         return node in self._adjacency
@@ -107,6 +123,82 @@ class InteractionGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"InteractionGraph({len(self)} nodes, {len(self.edges)} edges)"
+
+
+def _dfs_cycles(
+    adjacency: dict[str, set[str]], max_length: int
+) -> Iterator[tuple[str, ...]]:
+    """Every cycle of 3..``max_length`` nodes: simple paths from each
+    start, extended only through larger nodes, depth-first (the order
+    :meth:`InteractionGraph.triangles` reproduces for length 3)."""
+    for start in sorted(adjacency):
+        stack: list[tuple[str, ...]] = [(start,)]
+        while stack:
+            path = stack.pop()
+            for neighbour in sorted(adjacency[path[-1]]):
+                if neighbour == start and len(path) >= 3:
+                    # Canonical direction: second node < last node.
+                    if path[1] < path[-1]:
+                        yield path
+                    continue
+                if neighbour <= start or neighbour in path:
+                    continue
+                if len(path) < max_length:
+                    stack.append(path + (neighbour,))
+
+
+def _anchored_cycles(
+    adjacency: dict[str, set[str]],
+    anchors: Iterable[tuple[str, str]],
+    max_length: int,
+) -> Iterator[tuple[str, ...]]:
+    """Every cycle using an anchor edge, once, anchor by anchor."""
+    seen: set[tuple[str, ...]] = set()
+    for start, goal in sorted(set(anchors)):
+        if goal not in adjacency.get(start, ()):
+            continue
+        if max_length == 3:
+            # The paths start → middle → goal, depth-first: middle
+            # descending; a triangle's canonical form is its sorted triple.
+            closings = [
+                tuple(sorted((start, middle, goal)))
+                for middle in sorted(adjacency[start] & adjacency[goal], reverse=True)
+            ]
+        else:
+            closings = _closed_paths(adjacency, start, goal, max_length)
+        for cycle in closings:
+            if cycle not in seen:
+                seen.add(cycle)
+                yield cycle
+
+
+def _closed_paths(
+    adjacency: dict[str, set[str]], start: str, goal: str, max_length: int
+) -> Iterator[tuple[str, ...]]:
+    """Canonical cycles closing a simple path start → … → goal of 3..
+    ``max_length`` nodes over the edge (goal, start), depth-first."""
+    stack: list[tuple[str, ...]] = [(start,)]
+    while stack:
+        path = stack.pop()
+        for neighbour in sorted(adjacency[path[-1]]):
+            if neighbour == goal:
+                if len(path) >= 2:
+                    yield _canonical_cycle(path + (goal,))
+                continue
+            if neighbour in path:
+                continue
+            if len(path) < max_length - 1:
+                stack.append(path + (neighbour,))
+
+
+def _canonical_cycle(path: tuple[str, ...]) -> tuple[str, ...]:
+    """The rotation/direction :meth:`InteractionGraph.cycles` emits:
+    smallest node first, then towards its smaller cycle neighbour."""
+    k = len(path)
+    pivot = path.index(min(path))
+    forward = tuple(path[(pivot + j) % k] for j in range(k))
+    backward = tuple(path[(pivot - j) % k] for j in range(k))
+    return forward if forward[1] < forward[-1] else backward
 
 
 def complete_graph(schema_names: Sequence[str]) -> InteractionGraph:

@@ -130,6 +130,23 @@ def _detached_corr(entry: dict) -> Correspondence:
     )
 
 
+def _recorded_corr(entry: dict, schemas) -> Correspondence:
+    """A correspondence named by a history record (a trace step or a
+    crowd round's questions).
+
+    History outlives network deltas: a record may name a candidate whose
+    schema a later delta removed (or replaced under the same name), and
+    that record must still restore — as a detached, value-equal
+    correspondence.  Live state (F±, store
+    masks, pending questions) is filtered on every delta and keeps
+    resolving strictly.
+    """
+    try:
+        return correspondence_from_dict(entry, schemas)
+    except FormatError:
+        return _detached_corr(entry)
+
+
 def _truth_from_list(entries) -> frozenset[Correspondence]:
     return frozenset(_detached_corr(entry) for entry in entries)
 
@@ -388,8 +405,7 @@ def _crowd_round_from_dict(document: dict, schemas) -> CrowdRound:
     return CrowdRound(
         index=document["index"],
         questions=tuple(
-            correspondence_from_dict(entry, schemas)
-            for entry in document["questions"]
+            _recorded_corr(entry, schemas) for entry in document["questions"]
         ),
         verdicts=tuple(bool(v) for v in document["verdicts"]),
         votes=tuple(
@@ -406,8 +422,7 @@ def _crowd_round_from_dict(document: dict, schemas) -> CrowdRound:
         timeouts=document["timeouts"],
         dropouts=document["dropouts"],
         unanswered=tuple(
-            correspondence_from_dict(entry, schemas)
-            for entry in document["unanswered"]
+            _recorded_corr(entry, schemas) for entry in document["unanswered"]
         ),
         degraded=document["degraded"],
         latency=document["latency"],
@@ -643,9 +658,7 @@ def _expert_session_from_dict(document: dict) -> ReconciliationSession:
         steps=[
             ReconciliationStep(
                 index=entry["index"],
-                correspondence=correspondence_from_dict(
-                    entry["corr"], schemas
-                ),
+                correspondence=_recorded_corr(entry["corr"], schemas),
                 approved=entry["approved"],
                 uncertainty=entry["uncertainty"],
                 effort=entry["effort"],

@@ -31,7 +31,12 @@ from repro.core import MatchingNetwork
 from repro.core.feedback import Oracle
 from repro.core.probability import ProbabilisticNetwork
 from repro.core.reconciliation import ReconciliationSession
-from repro.durability import recover, restore_session, run_durable
+from repro.durability import (
+    recover,
+    restore_session,
+    run_durable,
+    save_checkpoint,
+)
 from repro.experiments.churn import make_churn_delta
 from repro.experiments.harness import synthetic_fixture
 from repro.experiments.scenarios import (
@@ -40,7 +45,7 @@ from repro.experiments.scenarios import (
     build_session,
     make_strategy,
 )
-from repro.io import delta_to_dict
+from repro.io import FormatError, correspondence_to_dict, delta_to_dict
 from repro.shard import ShardedEstimator
 
 #: Same enumerable reference fixture as test_shard_equivalence: |Ω| = 180,
@@ -365,3 +370,102 @@ class TestCrashAtDeltaRecovery:
             == golden.pnet.feedback.disapproved
         )
         assert recovered.uncertainty() == golden.uncertainty()
+
+
+class TestCheckpointAfterSchemaRemoval:
+    """A checkpoint written after a schema-removing delta restores.
+
+    The trace (or crowd-round history) names candidates of the removed
+    schema; those records restore as detached, value-equal
+    correspondences, and the restored session continues bit-identically.
+    Live state keeps resolving strictly against the post-delta schemas.
+    """
+
+    @pytest.mark.parametrize("sharded", (True, False))
+    def test_expert_restores_and_continues(self, tmp_path, fixture, delta, sharded):
+        live = build_session(fixture, _spec("likelihood", 3, sharded=sharded))
+        for _ in range(PREFIX_STEPS):
+            live.step()
+        result = live.apply_delta(delta)
+        asked = {step.correspondence for step in live.trace.steps}
+        assert asked & result.removed_correspondences  # the bug's trigger
+
+        restored = restore_session(save_checkpoint(live, tmp_path / "ck.json"))
+        assert restored.deltas_applied == 1
+        assert _expert_trace_tuple(restored.trace) == _expert_trace_tuple(
+            live.trace
+        )
+        restored_tail = _run_traced(restored, restored.pnet, TAIL_STEPS)
+        live_tail = _run_traced(live, live.pnet, TAIL_STEPS)
+        assert restored_tail == live_tail
+        assert live_tail
+        assert restored.pnet.feedback.approved == live.pnet.feedback.approved
+        assert (
+            restored.pnet.feedback.disapproved == live.pnet.feedback.disapproved
+        )
+
+    def test_crowd_restores_and_continues(self, tmp_path, fixture, delta):
+        spec = _spec(
+            "likelihood",
+            11,
+            oracle="crowd",
+            crowd_workers=6,
+            crowd_redundancy=3,
+            crowd_k=3,
+        )
+        live = build_crowd_session(fixture, spec)
+        live.run(rounds=2)
+        result = live.apply_delta(delta)
+        asked = {corr for record in live.trace.rounds for corr in record.questions}
+        assert asked & result.removed_correspondences
+
+        restored = restore_session(save_checkpoint(live, tmp_path / "ck.json"))
+        assert crowd_trace_tuple(restored.trace) == crowd_trace_tuple(live.trace)
+        live.run(rounds=5)
+        restored.run(rounds=5)
+        assert len(live.trace.rounds) == 5
+        assert crowd_trace_tuple(restored.trace) == crowd_trace_tuple(live.trace)
+        assert restored.pnet.feedback.approved == live.pnet.feedback.approved
+        assert (
+            restored.pnet.feedback.disapproved == live.pnet.feedback.disapproved
+        )
+        assert restored.uncertainty() == live.uncertainty()
+
+    def test_recover_from_post_delta_checkpoint(self, tmp_path, fixture, delta):
+        spec = _spec("likelihood", 3)
+        golden = build_session(fixture, spec)
+        golden_dir = tmp_path / "golden"
+        run_durable(golden, golden_dir, budget=PREFIX_STEPS)
+        golden.apply_delta(delta)
+        run_durable(golden, golden_dir, budget=12)
+
+        crashed = build_session(fixture, spec)
+        crash_dir = tmp_path / "crashed"
+        run_durable(crashed, crash_dir, budget=PREFIX_STEPS)
+        result = crashed.apply_delta(delta)
+        asked = {step.correspondence for step in crashed.trace.steps}
+        assert asked & result.removed_correspondences
+        # Post-delta checkpoints land after every step of this leg.
+        run_durable(crashed, crash_dir, budget=9)
+        recovered, report = recover(crash_dir)
+        assert report.transactions_redone == 0  # restored, not replayed
+        run_durable(recovered, crash_dir, budget=12)
+        assert _expert_trace_tuple(recovered.trace) == _expert_trace_tuple(
+            golden.trace
+        )
+        assert recovered.uncertainty() == golden.uncertainty()
+
+    def test_live_state_still_resolves_strictly(self, tmp_path, fixture, delta):
+        live = build_session(fixture, _spec("likelihood", 3, sharded=False))
+        for _ in range(PREFIX_STEPS):
+            live.step()
+        result = live.apply_delta(delta)
+        document = json.loads(
+            save_checkpoint(live, tmp_path / "ck.json").read_text()
+        )
+        removed = min(result.removed_correspondences)
+        document["pnet"]["store"]["approved"].append(
+            correspondence_to_dict(removed)
+        )
+        with pytest.raises(FormatError, match="unknown schema"):
+            restore_session(document)

@@ -84,6 +84,24 @@ class TestInteractionGraph:
     def test_cycles_below_minimum_length(self):
         graph = complete_graph(["A", "B", "C"])
         assert list(graph.cycles(2)) == []
+        assert list(graph.cycles(2, through=[("A", "B")])) == []
+
+    @pytest.mark.parametrize("max_length", [3, 4, 5])
+    def test_cycles_through_anchors_are_the_cycles_using_them(self, max_length):
+        graph = erdos_renyi_graph(list("ABCDEFG"), 0.6, rng=random.Random(3))
+        # Spanning-path edges (one reversed), plus a non-edge.
+        anchors = [("A", "B"), ("C", "B"), ("F", "G"), ("A", "Z")]
+        wanted = {frozenset(edge) for edge in anchors}
+
+        def uses_anchor(cycle):
+            closed = zip(cycle, cycle[1:] + cycle[:1])
+            return any(frozenset(edge) in wanted for edge in closed)
+
+        anchored = list(graph.cycles(max_length, through=anchors))
+        assert len(anchored) == len(set(anchored))
+        assert set(anchored) == {
+            cycle for cycle in graph.cycles(max_length) if uses_anchor(cycle)
+        }
 
 
 class TestGraphBuilders:
