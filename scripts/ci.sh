@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI entrypoint: byte-compile the package, import/dead-store lint,
-# the fast test profile, then the src/repro/{core,crowd,analysis,durability}
-# line-coverage floors (stdlib settrace tracer over the deterministic test
-# files — the container ships no coverage.py).
+# the fast test profile, then the
+# src/repro/{core,crowd,analysis,durability,shard,service} line-coverage
+# floors (stdlib settrace tracer over the deterministic test files — the
+# container ships no coverage.py).
 # (pytest.ini deselects the slow benchmark/experiment regenerations; run
 # `pytest -m ""` for the full matrix).
 set -euo pipefail
@@ -20,8 +21,10 @@ python -m pytest -q
 # Shard parity smoke: one differential seed per strategy must reproduce
 # the unsharded session trace bit-for-bit (the full 15-combination matrix
 # runs in the plain pass above; this re-runs the three seed-0 traces
-# standalone so a sharding regression is named in the CI log).
+# standalone so a sharding regression is named in the CI log), and so
+# must the seed-0 crowd rounds ranked by information gain.
 python -m pytest -q "tests/test_shard_equivalence.py::TestTraceEquivalence::test_sharded_trace_bit_identical" -k "0-"
+python -m pytest -q "tests/test_shard_equivalence.py::TestTraceEquivalence::test_sharded_crowd_ig_trace_bit_identical[0]"
 # Hash-seed independence: triangles come from intersecting string sets, so
 # the compiled violation order (pinned against the legacy enumerators) and
 # the golden traces must not depend on PYTHONHASHSEED.

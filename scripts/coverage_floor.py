@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Line-coverage floor for ``src/repro/{core,crowd,analysis,durability}``
-— stdlib only.
+"""Line-coverage floor for
+``src/repro/{core,crowd,analysis,durability,shard,service}`` — stdlib only.
 
 The container ships no ``coverage``/``pytest-cov``, so this script measures
 line coverage with a ``sys.settrace`` tracer that activates only for frames

@@ -7,7 +7,8 @@ assertions arrive.  Two estimators realise P:
 * :class:`ExactEstimator` — Equation 1 by full enumeration of Ω (tiny
   networks, Fig. 7, tests);
 * :class:`SampledEstimator` — Equation 2 over the view-maintained
-  :class:`~repro.core.sampling.SampleStore` (the production path).
+  :class:`~repro.core.sampling.SampleStore` or its component-sharded
+  counterpart (the production path).
 """
 
 from __future__ import annotations
@@ -127,7 +128,17 @@ class ExactEstimator(ProbabilityEstimator):
 
 
 class SampledEstimator(ProbabilityEstimator):
-    """Equation 2: probabilities as sample frequencies over Ω*."""
+    """Equation 2: probabilities as sample frequencies over Ω*.
+
+    The estimator is a thin view over its store: a
+    :class:`~repro.core.sampling.SampleStore` by default, or a
+    :class:`~repro.shard.ShardedSampleStore` (via
+    :class:`~repro.shard.ShardedEstimator`).  Both stores answer the same
+    surface — ``probability_vector``, ``matrix_float``, ``frequencies``,
+    ``record_assertion``, ``retract_approval``, ``apply_delta``,
+    ``feedback`` and ``version`` — so nothing here branches on which one
+    it holds.
+    """
 
     def __init__(
         self,
@@ -148,20 +159,22 @@ class SampledEstimator(ProbabilityEstimator):
                 "the supplied sampler was built for a different network"
             )
         self.store = SampleStore(network, sampler, target_samples=target_samples)
-        self.network = network
 
     @classmethod
-    def from_store(cls, store: SampleStore) -> "SampledEstimator":
+    def from_store(cls, store) -> "SampledEstimator":
         """Wrap an existing (e.g. checkpoint-restored) store directly.
 
         The normal constructor builds and *fills* a fresh store; restoring
-        a session must instead adopt the store rebuilt by
-        :meth:`~repro.core.sampling.SampleStore.from_state` untouched.
+        a session must instead adopt the store rebuilt by its
+        ``from_state`` untouched.
         """
         estimator = cls.__new__(cls)
         estimator.store = store
-        estimator.network = store.network
         return estimator
+
+    @property
+    def network(self) -> MatchingNetwork:
+        return self.store.network
 
     @property
     def feedback(self) -> Feedback:
@@ -169,21 +182,27 @@ class SampledEstimator(ProbabilityEstimator):
 
     @property
     def samples(self) -> Sequence[frozenset[Correspondence]]:
+        """Ω* as frozensets.  A sharded store keeps one pool per shard and
+        no global sample list, so this raises ``AttributeError`` there."""
         return self.store.samples
 
     @property
     def sample_masks(self) -> Sequence[int]:
-        """Ω* as engine bitmasks — the representation the kernels consume."""
+        """Ω* as engine bitmasks — the representation the kernels consume
+        (``AttributeError`` on a sharded store, like :attr:`samples`)."""
         return self.store.sample_masks
 
     def membership_matrix(self):
         """The store's cached 0/1 sample-membership matrix (float64, the
-        dtype the information-gain reductions consume directly)."""
+        dtype the information-gain reductions consume directly).
+
+        A sharded store materialises the *product* matrix, bounded by
+        ``MAX_PRODUCT_ROWS``."""
         return self.store.matrix_float()
 
     def probabilities(self) -> dict[Correspondence, float]:
-        # The store's frequency view is an immutable cached mapping; copy it
-        # because ProbabilisticNetwork folds assertions into the result.
+        # Copy the store's frequency view: ProbabilisticNetwork folds
+        # assertions into the result.
         return dict(self.store.frequencies())
 
     @property
@@ -195,9 +214,11 @@ class SampledEstimator(ProbabilityEstimator):
     ) -> np.ndarray:
         # The store's vector is aligned to the engine index, i.e. the
         # network's candidate order; serve it directly for that order (the
-        # reconciliation loop's call) and fall back to the mapping-based
+        # reconciliation loop passes the network's own tuple, so the
+        # identity check settles it) and fall back to the mapping-based
         # base path for any other alignment a caller requests.
-        if tuple(correspondences) == self.network.correspondences:
+        whole = self.network.correspondences
+        if correspondences is whole or tuple(correspondences) == whole:
             return self.store.probability_vector()
         return super().probability_vector(correspondences)
 
@@ -207,55 +228,10 @@ class SampledEstimator(ProbabilityEstimator):
     def retract_approval(self, corr: Correspondence, refill: bool = True) -> None:
         self.store.retract_approval(corr, refill=refill)
 
-    def apply_delta(self, result) -> None:
-        """Move to the successor network of a delta.
-
-        The unsharded store samples over *global* masks, which a delta
-        renumbers wholesale, so there is nothing to carry: a fresh store
-        is built on the successor network pre-seeded with the surviving
-        feedback and refilled (the sampler walks the conditioned space
-        Ω(F⁺, F⁻) directly — the state a fresh session reaches by
-        replaying that feedback).  The walk RNG object is reused, so the
-        result is deterministic given the stream position; shard-level
-        carryover (untouched components byte-identical) is the
-        :class:`~repro.shard.ShardedEstimator` path.
-
-        A rescore-only delta (``result.structural`` False) swaps the
-        network references and keeps the store verbatim — sample
-        frequencies never read matcher confidence, so Ω*, the RNG
-        streams and every cached vector stay bit-identical.
-        """
-        if not result.structural:
-            self.store.network = result.network
-            self.store.sampler.network = result.network
-            self.network = result.network
-            return
-        removed = result.removed_correspondences
-        old = self.store
-        sampler = InstanceSampler(
-            result.network,
-            walk_steps=old.sampler.walk_steps,
-            rng=old.sampler.rng,
-            restart_probability=old.sampler.restart_probability,
-            chains=old.sampler.chains,
-        )
-        state = {
-            "sample_masks": [],
-            "approved": sorted(
-                c for c in old.feedback.approved if c not in removed
-            ),
-            "disapproved": sorted(
-                c for c in old.feedback.disapproved if c not in removed
-            ),
-            "exhausted": False,
-            "version": old.version + 1,
-            "target_samples": old.target_samples,
-            "min_samples": old.min_samples,
-        }
-        store = SampleStore.from_state(result.network, sampler, state)
-        store.refresh()
-        self.store = store
-        self.network = result.network
+    def apply_delta(self, result):
+        """Move to the successor network of a delta (the store's
+        ``apply_delta``: a fresh conditioned store, or shard carryover)."""
+        return self.store.apply_delta(result)
 
 
 class ProbabilisticNetwork:
@@ -533,9 +509,12 @@ class ProbabilisticNetwork:
 
     def samples(self) -> Sequence[frozenset[Correspondence]]:
         """The sample multiset when a sampling estimator backs the network."""
-        if isinstance(self.estimator, SampledEstimator):
+        try:
             return self.estimator.samples
-        raise TypeError("the active estimator does not expose samples")
+        except AttributeError:
+            raise TypeError(
+                "the active estimator does not expose samples"
+            ) from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProbabilisticNetwork({self.network!r}, {self.feedback!r})"

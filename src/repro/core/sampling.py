@@ -99,12 +99,20 @@ class InstanceSampler:
         # deterministic while the two streams remain independent.
         self.np_rng = np.random.default_rng(self.rng.getrandbits(64))
 
+    def settings(self) -> dict:
+        """The configuration knobs, as constructor keyword arguments."""
+        return {
+            "walk_steps": self.walk_steps,
+            "restart_probability": self.restart_probability,
+            "chains": self.chains,
+        }
+
     def get_state(self) -> dict:
         """Both RNG streams' states, as plain Python objects.
 
         The checkpoint layer (:mod:`repro.durability`) persists this so a
         restored sampler continues the *same* walk and emission streams;
-        the configuration knobs travel separately in the checkpoint.
+        the configuration knobs travel separately (:meth:`settings`).
         """
         return {
             "rng": self.rng.getstate(),
@@ -349,6 +357,28 @@ class InstanceSampler:
         return [corrs_of(mask) for mask in masks]
 
 
+def empty_store_state(
+    target_samples: int,
+    min_samples: int,
+    approved: Iterable[Correspondence] = (),
+    disapproved: Iterable[Correspondence] = (),
+) -> dict:
+    """A :meth:`SampleStore.get_state` dict holding no samples yet.
+
+    The feedback pre-seeds the store: its first refill walks (or
+    enumerates) the conditioned space Ω(F⁺, F⁻) directly.
+    """
+    return {
+        "sample_masks": [],
+        "approved": sorted(approved),
+        "disapproved": sorted(disapproved),
+        "exhausted": False,
+        "version": 0,
+        "target_samples": target_samples,
+        "min_samples": min_samples,
+    }
+
+
 class SampleStore:
     """The maintained sample multiset Ω* with pay-as-you-go view maintenance.
 
@@ -440,32 +470,91 @@ class SampleStore:
     def from_state(
         cls,
         network: MatchingNetwork,
-        sampler: InstanceSampler,
         state: dict,
+        sampler: dict,
     ) -> "SampleStore":
-        """Rebuild a store from :meth:`get_state` without re-sampling.
+        """Rebuild a store and its sampler from saved state, without
+        re-sampling.
 
         The normal constructor refills the store (consuming sampler RNG);
-        a restore must instead adopt the checkpointed Ω* verbatim so the
-        RNG streams stay exactly where the checkpoint left them.
+        a restore must instead adopt the saved Ω* verbatim so the RNG
+        streams stay exactly where they were left.
+
+        ``state`` is a :meth:`get_state` dict.  ``sampler`` holds the
+        :class:`InstanceSampler` keyword arguments
+        (:meth:`InstanceSampler.settings`, optionally an ``rng`` to draw
+        from) plus, under ``"state"``, the RNG streams to resume
+        (:meth:`InstanceSampler.get_state`).  Every store rebuild —
+        checkpoint restore, refill workers, shard builds, network deltas
+        — goes through here.
         """
         store = cls.__new__(cls)
-        store.network = network
-        store.sampler = sampler
-        store.target_samples = state["target_samples"]
-        store.min_samples = state["min_samples"]
-        store.feedback = Feedback(state["approved"], state["disapproved"])
-        store._sample_masks = list(state["sample_masks"])
-        store._sample_set = set(store._sample_masks)
-        store._exhausted = bool(state["exhausted"])
-        store.version = int(state["version"])
-        store._samples_cache = None
-        store._matrix_cache = None
-        store._matrix_float_cache = None
-        store._counts_cache = None
-        store._prob_vector_cache = None
-        store._frequency_cache = None
+        store._load(network, state, sampler)
         return store
+
+    def _load(
+        self, network: MatchingNetwork, state: dict, sampler: dict
+    ) -> None:
+        """Adopt a saved state in place (see :meth:`from_state`)."""
+        settings = {
+            key: value for key, value in sampler.items() if key != "state"
+        }
+        self.sampler = InstanceSampler(network, **settings)
+        if "state" in sampler:
+            self.sampler.set_state(sampler["state"])
+        self.network = network
+        self.target_samples = state["target_samples"]
+        self.min_samples = state["min_samples"]
+        self.feedback = Feedback(state["approved"], state["disapproved"])
+        self._sample_masks = list(state["sample_masks"])
+        self._sample_set = set(self._sample_masks)
+        self._exhausted = bool(state["exhausted"])
+        self.version = int(state["version"])
+        self._samples_cache = None
+        self._matrix_cache = None
+        self._matrix_float_cache = None
+        self._counts_cache = None
+        self._prob_vector_cache = None
+        self._frequency_cache = None
+
+    def apply_delta(self, result) -> None:
+        """Move to the successor network of a delta.
+
+        This store samples over *global* masks, which a delta renumbers
+        wholesale, so there is nothing to carry: the store restarts empty
+        on the successor network, pre-seeded with the surviving feedback,
+        and refills (the sampler walks the conditioned space Ω(F⁺, F⁻)
+        directly — the state a fresh session reaches by replaying that
+        feedback).  The walk RNG object is reused, so the result is
+        deterministic given the stream position; shard-level carryover
+        (untouched components byte-identical) is the
+        :class:`~repro.shard.ShardedSampleStore` path.
+
+        A rescore-only delta (``result.structural`` False) swaps the
+        network references and keeps the store verbatim — sample
+        frequencies never read matcher confidence, so Ω*, the RNG
+        streams and every cached vector stay bit-identical.
+        """
+        if not result.structural:
+            self.network = result.network
+            self.sampler.network = result.network
+            return
+        removed = result.removed_correspondences
+        state = empty_store_state(
+            self.target_samples,
+            self.min_samples,
+            approved=[c for c in self.feedback.approved if c not in removed],
+            disapproved=[
+                c for c in self.feedback.disapproved if c not in removed
+            ],
+        )
+        state["version"] = self.version + 1
+        self._load(
+            result.network,
+            state,
+            {**self.sampler.settings(), "rng": self.sampler.rng},
+        )
+        self.refresh()
 
     @property
     def samples(self) -> Sequence[frozenset[Correspondence]]:

@@ -114,9 +114,8 @@ class InformationGainSelection(SelectionStrategy):
         if membership_matrix is None:
             raise TypeError(
                 "information-gain selection needs a sampling estimator "
-                "exposing membership_matrix (SampledEstimator or "
-                "ShardedEstimator); use EntropySelection with exact "
-                "estimators instead"
+                "exposing membership_matrix (SampledEstimator); use "
+                "EntropySelection with exact estimators instead"
             )
         if self.max_candidates is not None and len(columns) > self.max_candidates:
             # Two-stage filter: keep the highest-marginal-entropy targets.
@@ -157,7 +156,7 @@ def rank_by_information_gain(
     if membership_matrix is None:
         raise TypeError(
             "information-gain ranking needs a sampling estimator exposing "
-            "membership_matrix (SampledEstimator or ShardedEstimator)"
+            "membership_matrix (SampledEstimator)"
         )
     gains = information_gains(
         (),

@@ -23,11 +23,11 @@ session's future behaviour depends on:
 random streams — a restored run is bit-identical to one that never stopped,
 which is the property :mod:`repro.durability.recovery` builds on.
 
-Sessions backed by a :class:`~repro.core.probability.SampledEstimator` or a
-:class:`~repro.shard.ShardedEstimator` are checkpointable: those are the
-production paths (sharded checkpoints capture every shard's Ω* masks and
-both of its RNG streams, plus the master stream), and the exact estimator's
-state is a pure function of feedback anyway.
+Sessions backed by a :class:`~repro.core.probability.SampledEstimator` are
+checkpointable, over either store: that is the production path (sharded
+checkpoints capture every shard's Ω* masks and both of its RNG streams,
+plus the master stream), and the exact estimator's state is a pure function
+of feedback anyway.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from ..core.reconciliation import (
     ReconciliationStep,
     ReconciliationTrace,
 )
-from ..core.sampling import InstanceSampler, SampleStore
+from ..core.sampling import SampleStore
 from ..core.selection import (
     ConfidenceSelection,
     EntropySelection,
@@ -176,144 +176,95 @@ def _oracle_state_from_dict(document: dict) -> dict:
     }
 
 
-def _store_state_to_dict(store_state: dict) -> dict:
-    """One SampleStore ``get_state`` dict, made JSON-shaped (hex masks)."""
-    return {
-        "sample_masks": [
-            format(mask, "x") for mask in store_state["sample_masks"]
-        ],
-        "approved": _corrs_to_list(store_state["approved"]),
-        "disapproved": _corrs_to_list(store_state["disapproved"]),
-        "exhausted": store_state["exhausted"],
-        "version": store_state["version"],
-        "target_samples": store_state["target_samples"],
-        "min_samples": store_state["min_samples"],
-    }
+def _store_state_to_dict(state: dict) -> dict:
+    """A store ``get_state`` dict made JSON-shaped, for either store.
+
+    Ω* masks become hex strings and F± lists of correspondence dicts; a
+    sharded state nests one unsharded store state per shard.  Every other
+    field (settings, counters, RNG states) is plain data already.
+    """
+    document = dict(state)
+    if "sample_masks" in state:
+        document["sample_masks"] = [
+            format(mask, "x") for mask in state["sample_masks"]
+        ]
+    document["approved"] = _corrs_to_list(state["approved"])
+    document["disapproved"] = _corrs_to_list(state["disapproved"])
+    if "shards" in state:
+        document["shards"] = [
+            {**shard, "store": _store_state_to_dict(shard["store"])}
+            for shard in state["shards"]
+        ]
+    return document
 
 
-def _store_state_from_dict(store_doc: dict, schemas) -> dict:
-    return {
-        "sample_masks": [int(mask, 16) for mask in store_doc["sample_masks"]],
-        "approved": _corrs_from_list(store_doc["approved"], schemas),
-        "disapproved": _corrs_from_list(store_doc["disapproved"], schemas),
-        "exhausted": store_doc["exhausted"],
-        "version": store_doc["version"],
-        "target_samples": store_doc["target_samples"],
-        "min_samples": store_doc["min_samples"],
-    }
+def _store_state_from_dict(document: dict, schemas) -> dict:
+    """Inverse of :func:`_store_state_to_dict`."""
+    state = dict(document)
+    if "sample_masks" in document:
+        state["sample_masks"] = [
+            int(mask, 16) for mask in document["sample_masks"]
+        ]
+    state["approved"] = _corrs_from_list(document["approved"], schemas)
+    state["disapproved"] = _corrs_from_list(document["disapproved"], schemas)
+    if "shards" in document:
+        state["shards"] = [
+            {**shard, "store": _store_state_from_dict(shard["store"], schemas)}
+            for shard in document["shards"]
+        ]
+    return state
 
 
 def _pnet_to_dict(pnet: ProbabilisticNetwork) -> dict:
+    """The ``"sampled"`` or ``"sharded"`` layout of the estimator's store.
+
+    A sharded store's state carries its sampling configuration and every
+    shard's sampler streams; an unsharded store's sampler travels beside
+    it.
+    """
     estimator = pnet.estimator
-    if isinstance(estimator, ShardedEstimator):
-        store = estimator.store
-        return {
-            "estimator": "sharded",
-            "config": {
-                "target_samples": store.target_samples,
-                "min_samples": store.min_samples,
-                "walk_steps": store.walk_steps,
-                "restart_probability": store.restart_probability,
-                "chains": store.chains,
-                "max_shards": store.max_shards,
-                "enumerate_limit": store.enumerate_limit,
-                "parallel": store.parallel,
-            },
-            "approved": _corrs_to_list(store.feedback.approved),
-            "disapproved": _corrs_to_list(store.feedback.disapproved),
-            "version": store.version,
-            "rng": store.rng.getstate(),
-            "shards": [
-                {
-                    "store": _store_state_to_dict(shard.store.get_state()),
-                    "sampler": shard.store.sampler.get_state(),
-                }
-                for shard in store.shards
-            ],
-        }
     if not isinstance(estimator, SampledEstimator):
         raise FormatError(
-            "only SampledEstimator- or ShardedEstimator-backed sessions "
-            "are checkpointable"
+            "only SampledEstimator-backed sessions are checkpointable"
         )
     store = estimator.store
+    if isinstance(store, ShardedSampleStore):
+        state = store.get_state()
+        # Refill fan-out is not sampling state (a pooled store's state
+        # equals its sequential twin's), but a restored session keeps it.
+        state["config"]["parallel"] = store.parallel
+        return {"estimator": "sharded", **_store_state_to_dict(state)}
     return {
         "estimator": "sampled",
         "store": _store_state_to_dict(store.get_state()),
         "sampler": {
-            "walk_steps": store.sampler.walk_steps,
-            "restart_probability": store.sampler.restart_probability,
-            "chains": store.sampler.chains,
+            **store.sampler.settings(),
             "state": store.sampler.get_state(),
         },
     }
 
 
-def _sampler_state_from_json(state: dict) -> dict:
-    return {
-        "rng": _rng_from_json(state["rng"]),
-        "np_rng": state["np_rng"],
-    }
-
-
-def _sharded_pnet_from_dict(document: dict, network) -> ProbabilisticNetwork:
-    schemas = {schema.name: schema for schema in network.schemas}
-    config = document["config"]
-    state = {
-        "approved": _corrs_from_list(document["approved"], schemas),
-        "disapproved": _corrs_from_list(document["disapproved"], schemas),
-        "version": document["version"],
-        "rng": _rng_from_json(document["rng"]),
-        "shards": [
-            {
-                "store": _store_state_from_dict(shard_doc["store"], schemas),
-                "sampler": _sampler_state_from_json(shard_doc["sampler"]),
-            }
-            for shard_doc in document["shards"]
-        ],
-    }
-    store = ShardedSampleStore.from_state(
-        network,
-        state,
-        target_samples=config["target_samples"],
-        min_samples=config["min_samples"],
-        walk_steps=config["walk_steps"],
-        restart_probability=config["restart_probability"],
-        chains=config["chains"],
-        max_shards=config["max_shards"],
-        enumerate_limit=config["enumerate_limit"],
-        parallel=config["parallel"],
-    )
-    return ProbabilisticNetwork(
-        network, estimator=ShardedEstimator.from_store(store)
-    )
-
-
 def _pnet_from_dict(document: dict, network) -> ProbabilisticNetwork:
     kind = document.get("estimator")
-    if kind == "sharded":
-        return _sharded_pnet_from_dict(document, network)
-    if kind != "sampled":
-        raise FormatError(f"unknown estimator kind {kind!r}")
     schemas = {schema.name: schema for schema in network.schemas}
-    sampler_doc = document["sampler"]
-    sampler = InstanceSampler(
-        network,
-        walk_steps=sampler_doc["walk_steps"],
-        restart_probability=sampler_doc["restart_probability"],
+    if kind == "sharded":
+        state = _store_state_from_dict(document, schemas)
+        estimator = ShardedEstimator.from_store(
+            ShardedSampleStore.from_state(network, state)
+        )
+    elif kind == "sampled":
         # Checkpoints written before multi-chain sampling carry no chain
-        # count; they were single-chain by construction.
-        chains=sampler_doc.get("chains", 1),
-    )
-    sampler.set_state(sampler_doc["state"])
-    store = SampleStore.from_state(
-        network,
-        sampler,
-        _store_state_from_dict(document["store"], schemas),
-    )
-    return ProbabilisticNetwork(
-        network, estimator=SampledEstimator.from_store(store)
-    )
+        # count; the sampler's single-chain default restores them.
+        estimator = SampledEstimator.from_store(
+            SampleStore.from_state(
+                network,
+                _store_state_from_dict(document["store"], schemas),
+                document["sampler"],
+            )
+        )
+    else:
+        raise FormatError(f"unknown estimator kind {kind!r}")
+    return ProbabilisticNetwork(network, estimator=estimator)
 
 
 def faultplan_to_dict(plan: FaultPlan) -> dict:

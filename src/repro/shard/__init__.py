@@ -10,11 +10,10 @@ factorises over the components.  This package exploits that:
 * :mod:`repro.shard.store` — shard-local sample stores (exact
   enumeration for small shards, walk/wave sampling for large ones) and
   the exact boundary merge (:class:`ShardedSampleStore`);
-* :mod:`repro.shard.estimator` — the drop-in
-  :class:`~repro.core.probability.ProbabilityEstimator`
-  (:class:`ShardedEstimator`);
-* :mod:`repro.shard.parallel` — process-pool refill fan-out, bit-
-  identical to the sequential fallback.
+* :mod:`repro.shard.estimator` — :class:`ShardedEstimator`, the
+  :class:`~repro.core.probability.SampledEstimator` over a sharded store;
+* :mod:`repro.shard.pool` — the persistent worker pool refills fan out
+  to, bit-identical to the sequential fallback.
 
 The differential suite in ``tests/test_shard_equivalence.py`` pins the
 whole construction: sharded session traces are bit-identical to the

@@ -1,12 +1,13 @@
 """Persistent shard worker pool with table affinity and work stealing.
 
-The PR-9 pool was a plain ``ProcessPoolExecutor``: every refill shipped
-its shard's *full* payload — sub-network included — to whichever worker
-the executor picked.  The sub-network is the expensive, immutable part
-of the payload (compiled engine, schema tables); the store and sampler
-states are the small, changing part.  :class:`ShardWorkerPool` makes the
-obvious production move: **pin each shard to the worker that already
-holds its tables**.
+Each shard's refill reads and writes nothing but that shard's store
+masks and RNG streams, so the unit of work ships cleanly to a worker
+process: a :func:`~repro.shard.store.refill_payload` (sub-network, store
+state, sampler settings and streams) out, (store state, sampler state)
+back.  The sub-network is the expensive, immutable part of the payload
+(compiled engine, schema tables); the store and sampler states are the
+small, changing part.  :class:`ShardWorkerPool` therefore **pins each
+shard to the worker that already holds its tables**.
 
 * Every worker slot is a single-process executor, so routing a key to a
   slot deterministically routes it to one OS process whose module-level
@@ -25,9 +26,9 @@ holds its tables**.
 Determinism is untouched by all of this: workers run the same
 ``refresh()`` code from the same shipped stream positions whatever slot
 executes them, and callers apply results in shard order — so the pool is
-bit-identical to the sequential fallback, exactly like the PR-9 pool
-(``tests/test_shard_equivalence.py`` pins it; the affinity suite pins
-hit/steal accounting on top).
+bit-identical to the sequential fallback
+(``tests/test_shard_equivalence.py`` pins it; ``tests/test_shard_pool.py``
+pins hit/steal accounting on top).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from .store import EnumeratingSampleStore
 
 __all__ = ["PoolClosedError", "PoolStats", "ShardWorkerPool"]
 
@@ -79,17 +82,14 @@ class PoolStats:
         return self.affinity_hits / self.submitted if self.submitted else 0.0
 
 
-def _pool_refill_worker(payload: dict) -> tuple:
+def _refill_worker(payload: dict) -> tuple:
     """Refill one shard store in a worker process, caching its network.
 
-    The hot-path twin of :func:`repro.shard.parallel._refill_shard_worker`
-    — identical sampling semantics, plus the keyed network cache.
+    Rebuilds the store from the payload's plain data, runs the same
+    ``refresh()`` the sequential path runs, and returns the new store and
+    sampler states.  A payload without a network is served from the
+    keyed cache, or answered with a miss marker.
     """
-    import random
-
-    from ..core.sampling import InstanceSampler
-    from .store import EnumeratingSampleStore
-
     key = tuple(payload["key"])
     network = payload.get("network")
     if network is not None:
@@ -102,22 +102,14 @@ def _pool_refill_worker(payload: dict) -> tuple:
         if network is None:
             return (_MISS, None, None)
         _WORKER_NETWORKS.move_to_end(key)
-    sampler = InstanceSampler(
-        network,
-        walk_steps=payload["walk_steps"],
-        rng=random.Random(),
-        restart_probability=payload["restart_probability"],
-        chains=payload["chains"],
-    )
-    sampler.set_state(payload["sampler"])
     store = EnumeratingSampleStore.from_state(
         network,
-        sampler,
         payload["store"],
+        payload["sampler"],
         enumerate_limit=payload["enumerate_limit"],
     )
     store.refresh()
-    return ("ok", store.get_state(), sampler.get_state())
+    return ("ok", store.get_state(), store.sampler.get_state())
 
 
 class ShardWorkerPool:
@@ -218,9 +210,9 @@ class ShardWorkerPool:
     ) -> list[tuple[dict, dict]]:
         """Refill every job's shard across the pool; results in job order.
 
-        Each job is ``(key, payload)`` with the payload of
-        :func:`repro.shard.parallel.refill_shards_parallel` — including
-        the ``network``, which is stripped before shipping whenever the
+        Each job is ``(key, payload)`` with a
+        :func:`~repro.shard.store.refill_payload` — including the
+        ``network``, which is stripped before shipping whenever the
         routed worker already holds it.  Blocking: the caller gets every
         (store state, sampler state) pair back in submission order, so
         applying them is order-deterministic regardless of completion
@@ -251,7 +243,7 @@ class ShardWorkerPool:
                         slot,
                         key,
                         payload,
-                        self._executor(slot).submit(_pool_refill_worker, wire),
+                        self._executor(slot).submit(_refill_worker, wire),
                     )
                 )
         results: list[tuple[dict, dict]] = []
@@ -265,7 +257,7 @@ class ShardWorkerPool:
                         self.cache_refreshes += 1
                         self._resident.discard((slot, key))
                         retry = self._executor(slot).submit(
-                            _pool_refill_worker, {**payload, "key": key}
+                            _refill_worker, {**payload, "key": key}
                         )
                     status, store_state, sampler_state = retry.result()
             finally:

@@ -40,10 +40,15 @@ from ..core.feedback import Feedback
 from ..core.graphs import InteractionGraph
 from ..core.instances import enumerate_instances
 from ..core.network import MatchingNetwork
-from ..core.sampling import InstanceSampler, SampleStore
+from ..core.sampling import InstanceSampler, SampleStore, empty_store_state
 from .components import ShardPlan, shard_plan, shard_plan_delta
 
-__all__ = ["EnumeratingSampleStore", "Shard", "ShardedSampleStore"]
+__all__ = [
+    "EnumeratingSampleStore",
+    "Shard",
+    "ShardedSampleStore",
+    "refill_payload",
+]
 
 #: Product-matrix row guard: materialising the global membership matrix
 #: multiplies the shard row counts, which explodes on large networks.
@@ -90,11 +95,11 @@ class EnumeratingSampleStore(SampleStore):
     def from_state(
         cls,
         network: MatchingNetwork,
-        sampler: InstanceSampler,
         state: dict,
+        sampler: dict,
         enumerate_limit: int = 4096,
     ) -> "EnumeratingSampleStore":
-        store = super().from_state(network, sampler, state)
+        store = super().from_state(network, state, sampler)
         store.enumerate_limit = enumerate_limit
         return store
 
@@ -192,25 +197,35 @@ def _shard_subnetwork(
     )
 
 
-def _empty_store_state(target_samples: int, min_samples: int) -> dict:
+def refill_payload(shard: Shard) -> dict:
+    """Everything a refill worker needs to resume ``shard``'s store.
+
+    Plain data (store state, sampler settings and RNG streams, the
+    enumeration limit) plus the sub-network, which the worker pool
+    strips whenever the routed worker already holds it.  The worker
+    rebuilds the store with :meth:`EnumeratingSampleStore.from_state`
+    from exactly these fields.
+    """
+    store = shard.store
     return {
-        "sample_masks": [],
-        "approved": [],
-        "disapproved": [],
-        "exhausted": False,
-        "version": 0,
-        "target_samples": target_samples,
-        "min_samples": min_samples,
+        "network": shard.network,
+        "store": store.get_state(),
+        "sampler": {
+            **store.sampler.settings(),
+            "state": store.sampler.get_state(),
+        },
+        "enumerate_limit": store.enumerate_limit,
     }
 
 
 class ShardedSampleStore:
     """Ω* maintained shard-by-shard, merged exactly at the boundary.
 
-    Mirrors the :class:`~repro.core.sampling.SampleStore` surface the
+    Answers the :class:`~repro.core.sampling.SampleStore` surface the
     estimator layer consumes — ``probability_vector``, ``matrix_float``,
-    ``record_assertion``, ``retract_approval``, ``version``, state
-    round-trip — but every operation dispatches to the single shard that
+    ``frequencies``, ``record_assertion``, ``retract_approval``,
+    ``apply_delta``, ``version``, ``get_state``/``from_state`` — but
+    every operation dispatches to the single shard that
     owns the touched candidate (each violation lives wholly inside one
     component, so conflict repair's victim always shares a shard with
     the new assertion, and the deferred ``refill=False`` flow ends in
@@ -220,9 +235,9 @@ class ShardedSampleStore:
     disapproved (then ``0.0``) — bit-identical to the whole-network
     frequency a complete unsharded store would report.
 
-    ``parallel`` fans refills across a process pool
-    (:mod:`repro.shard.parallel`); the sequential fallback is
-    bit-identical because each shard's refill depends only on its own
+    ``parallel`` fans refills across a
+    :class:`~repro.shard.pool.ShardWorkerPool`; the sequential fallback
+    is bit-identical because each shard's refill depends only on its own
     store state and RNG stream.
     """
 
@@ -275,7 +290,6 @@ class ShardedSampleStore:
             for position, indices in enumerate(self.plan.shards)
         ]
         self._vector_cache: Optional[np.ndarray] = None
-        self._matrix_cache: Optional[np.ndarray] = None
         self._matrix_float_cache: Optional[np.ndarray] = None
         self._pool = None
         self._pool_workers: Optional[int] = None
@@ -309,24 +323,21 @@ class ShardedSampleStore:
             subnet = _shard_subnetwork(self.network, members)
         # The master rng ALWAYS spawns the shard stream here, catalog hit
         # or not — stream spawning is part of the deterministic contract.
-        sampler = InstanceSampler(
-            subnet,
-            walk_steps=self.walk_steps,
-            rng=random.Random(self.rng.getrandbits(64)),
-            restart_probability=self.restart_probability,
-            chains=self.chains,
+        sampler = {
+            "walk_steps": self.walk_steps,
+            "rng": random.Random(self.rng.getrandbits(64)),
+            "restart_probability": self.restart_probability,
+            "chains": self.chains,
+        }
+        member_set = set(members)
+        state = empty_store_state(
+            self.target_samples,
+            self.min_samples,
+            approved=[c for c in self.feedback.approved if c in member_set],
+            disapproved=[
+                c for c in self.feedback.disapproved if c in member_set
+            ],
         )
-        state = _empty_store_state(self.target_samples, self.min_samples)
-        if self.feedback:
-            member_set = set(members)
-            state["approved"] = sorted(
-                corr for corr in self.feedback.approved if corr in member_set
-            )
-            state["disapproved"] = sorted(
-                corr
-                for corr in self.feedback.disapproved
-                if corr in member_set
-            )
         if (
             self.catalog is not None
             and not state["approved"]
@@ -343,8 +354,8 @@ class ShardedSampleStore:
                 state = cached
         store = EnumeratingSampleStore.from_state(
             subnet,
-            sampler,
             state,
+            sampler,
             enumerate_limit=self.enumerate_limit,
         )
         return Shard(position, indices, subnet, store)
@@ -365,9 +376,12 @@ class ShardedSampleStore:
         """Top up every shard below target (the fan-out point).
 
         ``parallel`` (or the instance knob) > 1 ships needy shards to a
-        process pool; otherwise they refresh sequentially in shard
+        :class:`~repro.shard.pool.ShardWorkerPool` and adopts the results
+        in shard order; otherwise they refresh sequentially in shard
         order.  Both paths are bit-identical: a shard refill reads and
-        writes nothing but that shard's store and sampler streams.
+        writes nothing but that shard's store and sampler streams, and
+        the worker runs the same ``refresh()`` from the same captured
+        stream positions.
         """
         workers = parallel if parallel is not None else self.parallel
         needy = [
@@ -379,14 +393,15 @@ class ShardedSampleStore:
         if needy:
             watched = self._fill_candidates(needy)
             if workers is not None and workers > 1 and len(needy) > 1:
-                from .parallel import refill_shards_parallel
-
-                refill_shards_parallel(
-                    needy,
-                    workers=workers,
-                    pool=self._ensure_pool(workers),
-                    client=self._client,
+                pool = self._ensure_pool(workers)
+                results = pool.run_refills(
+                    [
+                        ((self._client, shard.uid), refill_payload(shard))
+                        for shard in needy
+                    ]
                 )
+                for shard, (store_state, sampler_state) in zip(needy, results):
+                    self._restore_shard(shard, store_state, sampler_state)
             else:
                 for shard in needy:
                     shard.store.refresh()
@@ -571,7 +586,6 @@ class ShardedSampleStore:
     def _invalidate(self) -> None:
         self.version += 1
         self._vector_cache = None
-        self._matrix_cache = None
         self._matrix_float_cache = None
 
     def _patch_vector(self, shard: Optional[Shard], corr: Correspondence,
@@ -586,7 +600,6 @@ class ShardedSampleStore:
         matrices stay fully invalidated (their rows change shape).
         """
         self.version += 1
-        self._matrix_cache = None
         self._matrix_float_cache = None
         if self._vector_cache is None:
             return
@@ -698,14 +711,6 @@ class ShardedSampleStore:
             self._matrix_float_cache = matrix
         return self._matrix_float_cache
 
-    def matrix(self) -> np.ndarray:
-        """Boolean view of :meth:`matrix_float` (same product rows)."""
-        if self._matrix_cache is None:
-            matrix = self.matrix_float() != 0.0
-            matrix.setflags(write=False)
-            self._matrix_cache = matrix
-        return self._matrix_cache
-
     @property
     def exhausted(self) -> bool:
         """True when every shard provably holds its whole instance space."""
@@ -719,14 +724,27 @@ class ShardedSampleStore:
     # State round-trip (the durability layer's hooks)
     # ------------------------------------------------------------------
     def get_state(self) -> dict:
-        """Persistent state: global feedback + per-shard store/sampler.
+        """Persistent state: sampling configuration, global feedback, and
+        per-shard store/sampler states.
 
         The shard *plan* is recomputed on restore (it is a pure function
         of the network and ``max_shards``); what must round-trip exactly
         is each shard's Ω* masks and both of its RNG streams, plus the
-        master stream that would seed any future shards.
+        master stream that would seed any future shards.  How refills
+        fan out (``parallel``, ``pool``) is not state: a pooled store's
+        state equals its sequential twin's.  A ``parallel`` entry in the
+        configuration is still honoured by :meth:`from_state`.
         """
         return {
+            "config": {
+                "target_samples": self.target_samples,
+                "min_samples": self.min_samples,
+                "walk_steps": self.walk_steps,
+                "restart_probability": self.restart_probability,
+                "chains": self.chains,
+                "max_shards": self.max_shards,
+                "enumerate_limit": self.enumerate_limit,
+            },
             "approved": sorted(self.feedback.approved),
             "disapproved": sorted(self.feedback.disapproved),
             "version": self.version,
@@ -742,42 +760,16 @@ class ShardedSampleStore:
 
     @classmethod
     def from_state(
-        cls,
-        network: MatchingNetwork,
-        state: dict,
-        target_samples: int = 500,
-        min_samples: Optional[int] = None,
-        walk_steps: int = 5,
-        restart_probability: float = 0.15,
-        chains: int = 1,
-        max_shards: Optional[int] = None,
-        enumerate_limit: int = 4096,
-        parallel: Optional[int] = None,
-        pool=None,
-        catalog=None,
+        cls, network: MatchingNetwork, state: dict
     ) -> "ShardedSampleStore":
         """Rebuild from :meth:`get_state` without consuming any RNG.
 
-        The constructor path spawns shard streams from the master rng
-        and refills; a restore must instead adopt the checkpointed
-        stores verbatim and overwrite every stream with its captured
-        position.
+        The configuration comes from the state itself.  The constructor
+        path spawns shard streams from the master rng and refills; a
+        restore must instead adopt the saved stores verbatim and
+        overwrite every stream with its captured position.
         """
-        store = cls(
-            network,
-            rng=random.Random(),
-            target_samples=target_samples,
-            min_samples=min_samples,
-            walk_steps=walk_steps,
-            restart_probability=restart_probability,
-            chains=chains,
-            max_shards=max_shards,
-            enumerate_limit=enumerate_limit,
-            parallel=parallel,
-            fill=False,
-            pool=pool,
-            catalog=catalog,
-        )
+        store = cls(network, rng=random.Random(), fill=False, **state["config"])
         version, internal, gauss = state["rng"]
         store.rng.setstate((version, tuple(internal), gauss))
         store.feedback = Feedback(state["approved"], state["disapproved"])
@@ -790,15 +782,23 @@ class ShardedSampleStore:
                 "network or max_shards?"
             )
         for shard, shard_state in zip(store.shards, shard_states):
-            sampler = shard.store.sampler
-            sampler.set_state(shard_state["sampler"])
-            shard.store = EnumeratingSampleStore.from_state(
-                shard.network,
-                sampler,
-                shard_state["store"],
-                enumerate_limit=store.enumerate_limit,
+            store._restore_shard(
+                shard, shard_state["store"], shard_state["sampler"]
             )
         return store
+
+    def _restore_shard(
+        self, shard: Shard, store_state: dict, sampler_state: dict
+    ) -> None:
+        """Adopt a saved store state and sampler streams into ``shard``
+        (checkpoint restore, and the results of a pooled refill)."""
+        sampler = shard.store.sampler
+        shard.store = EnumeratingSampleStore.from_state(
+            shard.network,
+            store_state,
+            {**sampler.settings(), "rng": sampler.rng, "state": sampler_state},
+            enumerate_limit=self.enumerate_limit,
+        )
 
     def shard_sizes(self) -> list[tuple[int, int]]:
         """Per-shard (candidates, samples) — diagnostics for benches."""

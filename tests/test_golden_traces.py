@@ -220,3 +220,38 @@ class TestFigureGoldens:
         )
         for row, golden in zip(result.rows, FIG11_GOLDEN):
             assert list(row) == approx(list(golden), rel=1e-9, abs=1e-12)
+
+
+class TestGoldenCheckpointFormat:
+    """The committed golden checkpoints restore and re-serialise to the
+    same ``pnet`` section: the store-state codec is pinned byte-for-byte
+    (after JSON normalisation) for both the sampled and sharded layouts."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "golden_crowd_checkpoint_round3.json",
+            "golden_expert_checkpoint_postdelta.json",
+        ],
+    )
+    def test_pnet_section_round_trips(self, name):
+        import json
+        import pathlib
+
+        from repro.durability import restore_session
+        from repro.durability.checkpoint import checkpoint_to_dict
+
+        path = pathlib.Path(__file__).parent / "data" / name
+        document = json.loads(path.read_text())
+        rewritten = json.loads(
+            json.dumps(checkpoint_to_dict(restore_session(path)), default=int)
+        )
+        expected = document["pnet"]
+        if document["version"] == 1:
+            # Version-1 checkpoints predate multi-chain sampling; the
+            # restored sampler runs its single-chain default.
+            expected = {
+                **expected,
+                "sampler": {**expected["sampler"], "chains": 1},
+            }
+        assert rewritten["pnet"] == expected

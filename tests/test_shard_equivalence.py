@@ -35,10 +35,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import enumerate_instances
+from repro.core.instantiation import instantiate
 from repro.core.probability import ProbabilisticNetwork, SampledEstimator
 from repro.core.reconciliation import ReconciliationSession
 from repro.experiments.harness import synthetic_fixture, synthetic_network
-from repro.experiments.scenarios import ScenarioSpec, build_session
+from repro.experiments.scenarios import (
+    ScenarioSpec,
+    build_crowd_session,
+    build_session,
+)
 from repro.shard import (
     MAX_PRODUCT_ROWS,
     ShardedEstimator,
@@ -128,6 +133,38 @@ class TestTraceEquivalence:
             == sharded.pnet.feedback.disapproved
         )
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sharded_crowd_ig_trace_bit_identical(
+        self, fixture, omega_masks, seed
+    ):
+        """Crowd rounds ranked by information gain read the (product)
+        membership matrix of a sharded estimator exactly as the unsharded
+        one's: same questions, verdicts and uncertainties every round."""
+        traces = []
+        for sharded in (False, True):
+            spec = ScenarioSpec(
+                oracle="crowd",
+                strategy="information-gain",
+                seed=seed,
+                target_samples=TARGET_SAMPLES,
+                on_conflict="disapprove",
+                sharded=sharded,
+            )
+            session = build_crowd_session(fixture, spec)
+            if not sharded:
+                store = session.pnet.estimator.store
+                assert set(store.sample_masks) == omega_masks
+            session.run(rounds=6)
+            traces.append(
+                [
+                    (record.questions, record.verdicts, record.uncertainty)
+                    for record in session.trace.rounds
+                ]
+            )
+        plain, sharded = traces
+        assert len(plain) == 6
+        assert plain == sharded
+
     def test_initial_vectors_and_entropies_identical(self, fixture):
         for seed in SEEDS:
             plain = ProbabilisticNetwork(
@@ -172,6 +209,40 @@ class TestTraceEquivalence:
         assert a.shape == b.shape
         assert np.array_equal(a.sum(axis=0), b.sum(axis=0))
         assert np.array_equal(a.T @ a, b.T @ b)
+
+
+class TestShardedFallbacks:
+    """A sharded store keeps one pool per shard and no global sample list,
+    so the sample-list consumers keep their no-samples behaviour."""
+
+    def test_samples_raise_type_error(self, fixture):
+        pnet = ProbabilisticNetwork(
+            fixture.network,
+            estimator=ShardedEstimator(
+                fixture.network,
+                target_samples=TARGET_SAMPLES,
+                rng=random.Random(0),
+            ),
+        )
+        with pytest.raises(TypeError, match="does not expose samples"):
+            pnet.samples()
+
+    def test_instantiate_starts_greedy(self, fixture):
+        pnet = ProbabilisticNetwork(
+            fixture.network,
+            estimator=ShardedEstimator(
+                fixture.network,
+                target_samples=TARGET_SAMPLES,
+                rng=random.Random(0),
+            ),
+        )
+        matching = instantiate(pnet, rng=random.Random(0))
+        index_of = fixture.network.engine.index_of
+        # Pinned: the greedy start (no sample list to pick from) and the
+        # local search that follows it.
+        assert sorted(index_of[corr] for corr in matching) == [
+            1, 3, 4, 5, 8, 12, 13, 14, 15, 16, 17, 18, 20, 22, 23,
+        ]
 
 
 class TestShardPlan:

@@ -20,7 +20,7 @@ from repro.shard import (
     ShardWorkerPool,
     ShardedSampleStore,
 )
-from repro.shard.parallel import refill_shards_parallel
+from repro.shard.store import refill_payload
 
 
 @pytest.fixture(scope="module")
@@ -31,16 +31,7 @@ def pool_network():
 
 
 def _payload(shard):
-    sampler = shard.store.sampler
-    return {
-        "network": shard.network,
-        "store": shard.store.get_state(),
-        "sampler": sampler.get_state(),
-        "walk_steps": sampler.walk_steps,
-        "restart_probability": sampler.restart_probability,
-        "chains": sampler.chains,
-        "enumerate_limit": shard.store.enumerate_limit,
-    }
+    return refill_payload(shard)
 
 
 class TestPoolParity:
@@ -236,7 +227,7 @@ class TestPoolLifecycle:
 
 
 class TestPoolThroughSharedRefills:
-    def test_refill_shards_parallel_accepts_worker_pool(self, pool_network):
+    def test_run_refills_matches_sequential_refresh(self, pool_network):
         sequential = ShardedSampleStore(
             pool_network, rng=random.Random(5), target_samples=30, fill=False
         )
@@ -246,12 +237,13 @@ class TestPoolThroughSharedRefills:
         for shard in sequential.shards:
             shard.store.refresh()
         with ShardWorkerPool(2) as pool:
-            refill_shards_parallel(
-                pooled.shards,
-                workers=2,
-                pool=pool,
-                client=pool.register_client(),
+            client = pool.register_client()
+            results = pool.run_refills(
+                [((client, shard.uid), _payload(shard)) for shard in pooled.shards]
             )
-        assert pooled.get_state() == sequential.get_state()
+        assert results == [
+            (shard.store.get_state(), shard.store.sampler.get_state())
+            for shard in sequential.shards
+        ]
         sequential.close()
         pooled.close()
