@@ -113,6 +113,20 @@ class LegacyInstanceSampler(InstanceSampler):
             discovered[maximal] = None
         return list(discovered)
 
+    def emit(
+        self, n_samples: int, feedback: Optional[Feedback] = None
+    ) -> tuple[list[int], np.ndarray]:
+        """The store's refill entry point, routed to the legacy walk above.
+
+        The pre-PR store decoded a top-up's new masks into membership rows
+        after merging them; decoding the legacy walk's distinct masks here
+        costs about the same (a store without a cached matrix, as in random
+        sessions, pays it extra: well under 1 ms per refill), so the
+        baseline keeps its historical walk, scan and random streams.
+        """
+        masks = self.sample_masks(n_samples, feedback)
+        return masks, self.network.engine.selection_matrix(masks)
+
 
 def _legacy_entropy_of_frequencies(frequencies: np.ndarray) -> float:
     p = np.clip(frequencies, 0.0, 1.0)

@@ -3,7 +3,7 @@
 The sampler's emission used to be a per-instance greedy maximalisation scan
 — ~60µs of sequential Python per emission on conflict-dense networks, the
 last sequential loop in the sampling layer.  The batched priority-wave
-maximaliser (:func:`repro.core.repair.wave_maximalize_batch`) decides a
+maximaliser (:func:`repro.core.repair.wave_maximalize_rows`) decides a
 whole refill's worth of emissions in a handful of numpy waves.  The gate
 below enforces the PR-4 acceptance bar — ≥3× over the sequential scan on
 the conflict-dense reference network (24 schemas / 1500 candidates / 186
@@ -21,8 +21,15 @@ import numpy as np
 import pytest
 
 from repro.core import InstanceSampler
-from repro.core.repair import greedy_maximalize_mask, wave_maximalize_batch
+from repro.core.repair import greedy_maximalize_mask, wave_maximalize_rows
 from test_bench_reconciliation import reference_fixture, small_fixture
+
+def _wave_masks(engine, states, allowed, **kwargs):
+    """The wave kernel's rows decoded to masks, the sequential side's output."""
+    return engine.selection_masks(
+        wave_maximalize_rows(engine, states, allowed, **kwargs)
+    )
+
 
 #: One refill's worth of emissions on the reference network.
 REFILL_EMISSIONS = 250
@@ -72,11 +79,11 @@ def test_bench_emission_wave_small(benchmark):
     engine, states, allowed, _ = _emission_inputs(small_fixture(), 120, 3)
     np_rng = np.random.default_rng(5)
     masks = benchmark(
-        wave_maximalize_batch, engine, states, allowed, np_rng=np_rng
+        _wave_masks, engine, states, allowed, np_rng=np_rng
     )
     _assert_valid_emissions(engine, allowed, masks)
     # Deterministic schedules agree bit for bit with the scalar kernel.
-    assert wave_maximalize_batch(engine, states, allowed) == [
+    assert _wave_masks(engine, states, allowed) == [
         greedy_maximalize_mask(engine, state, allowed) for state in states
     ]
 
@@ -102,7 +109,7 @@ def test_bench_emission_wave_reference(benchmark):
     )
     np_rng = np.random.default_rng(9)
     masks = benchmark(
-        wave_maximalize_batch, engine, states, allowed, np_rng=np_rng
+        _wave_masks, engine, states, allowed, np_rng=np_rng
     )
     _assert_valid_emissions(engine, allowed, masks)
 
@@ -114,7 +121,7 @@ def test_emission_wave_speedup_gate(capsys):
         reference_fixture(), REFILL_EMISSIONS, 3
     )
     # Exactness before speed: the deterministic schedules must agree.
-    assert wave_maximalize_batch(engine, states, allowed) == [
+    assert _wave_masks(engine, states, allowed) == [
         greedy_maximalize_mask(engine, state, allowed) for state in states
     ]
 
@@ -131,7 +138,7 @@ def test_emission_wave_speedup_gate(capsys):
         lambda: _sequential_emissions(engine, states, allowed, avail_sets, np_rng)
     )
     wave = timed(
-        lambda: wave_maximalize_batch(engine, states, allowed, np_rng=np_rng)
+        lambda: _wave_masks(engine, states, allowed, np_rng=np_rng)
     )
     ratio = sequential / wave
     with capsys.disabled():

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from _legacy_loop import build_legacy_session
+from _legacy_loop import LegacyInstanceSampler, build_legacy_session
 from repro.experiments import ScenarioSpec, build_session, synthetic_fixture
 
 _CACHE: dict[str, object] = {}
@@ -53,6 +53,25 @@ def _run_incremental(fixture, strategy: str, seed: int, target_samples: int):
     )
     session.run()
     return session
+
+
+def test_legacy_store_fills_through_legacy_walk(monkeypatch):
+    """The pinned baseline must refill Ω* with its own walk: a store that
+    reaches the sampler through a method the legacy class does not
+    override would silently time today's walk instead."""
+    calls = []
+    walk = LegacyInstanceSampler.sample_masks
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(LegacyInstanceSampler, "sample_masks", counted)
+    session = build_legacy_session(
+        small_fixture(), "random", seed=3, target_samples=40
+    )
+    assert len(session.pnet.estimator.store) > 0
+    assert calls
 
 
 def test_bench_session_small_information_gain(benchmark):

@@ -5,7 +5,7 @@ Two acceptance bars from the sharding tentpole:
 * **Refill ≥3×** — re-conditioning Ω* after feedback on the reference
   network (24 schemas / 1500 candidates / ~124 violation components).
   The unsharded ``SampleStore`` re-walks the whole network through the
-  ``wave_maximalize_batch`` emission path on every top-up; the sharded
+  ``wave_maximalize_rows`` emission path on every top-up; the sharded
   store re-enumerates only the one component the assertion touched, so
   the recurring refill is orders of magnitude cheaper (measured ~100×+;
   gated conservatively at 3×).

@@ -58,7 +58,7 @@ from .repair import (
     greedy_maximalize_mask,
     repair,
     repair_mask,
-    wave_maximalize_batch,
+    wave_maximalize_rows,
 )
 from .sampling import InstanceSampler, SampleStore, symmetric_difference_size
 from .schema import Attribute, Schema, validate_disjoint
@@ -155,5 +155,5 @@ __all__ = [
     "star_graph",
     "symmetric_difference_size",
     "validate_disjoint",
-    "wave_maximalize_batch",
+    "wave_maximalize_rows",
 ]

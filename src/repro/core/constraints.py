@@ -415,7 +415,7 @@ def shuffled(indices: Iterable[int], rng) -> list[int]:
 class WaveTables:
     """CSR-style array views of the violation hypergraph, compacted to the
     conflicted candidates — the representation the batched priority-wave
-    maximaliser (:func:`repro.core.repair.wave_maximalize_batch`) consumes.
+    maximaliser (:func:`repro.core.repair.wave_maximalize_rows`) consumes.
 
     All indices below are *compact*: position ``k`` refers to the ``k``-th
     conflicted candidate (``conflicted[k]`` is its engine index), and ``m``
@@ -846,6 +846,20 @@ class ConstraintEngine:
         rows[:, :n] = bits[:, :n]
         rows[:, n] = True
         return rows
+
+    def selection_masks(self, rows: np.ndarray) -> list[int]:
+        """Selection masks of bool membership rows — the inverse of
+        :meth:`selection_matrix` (one ``packbits``, one int per row)."""
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        width = packed.shape[1]
+        if not width:  # no candidates: every selection is empty
+            return [0] * len(packed)
+        data = packed.tobytes()
+        from_bytes = int.from_bytes
+        return [
+            from_bytes(data[start : start + width], "little")
+            for start in range(0, len(data), width)
+        ]
 
     def wave_tables(self) -> WaveTables:
         """The (cached) CSR violation tables of the wave maximaliser."""

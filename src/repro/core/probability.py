@@ -134,7 +134,7 @@ class SampledEstimator(ProbabilityEstimator):
     :class:`~repro.core.sampling.SampleStore` by default, or a
     :class:`~repro.shard.ShardedSampleStore` (via
     :class:`~repro.shard.ShardedEstimator`).  Both stores answer the same
-    surface — ``probability_vector``, ``matrix_float``, ``frequencies``,
+    surface — ``probability_vector``, ``matrix``, ``frequencies``,
     ``record_assertion``, ``retract_approval``, ``apply_delta``,
     ``feedback`` and ``version`` — so nothing here branches on which one
     it holds.
@@ -192,13 +192,13 @@ class SampledEstimator(ProbabilityEstimator):
         (``AttributeError`` on a sharded store, like :attr:`samples`)."""
         return self.store.sample_masks
 
-    def membership_matrix(self):
-        """The store's cached 0/1 sample-membership matrix (float64, the
-        dtype the information-gain reductions consume directly).
+    def membership_matrix(self) -> np.ndarray:
+        """The store's cached, frozen bool sample-membership matrix — what
+        :func:`~repro.core.uncertainty.information_gain_array` reads.
 
         A sharded store materialises the *product* matrix, bounded by
         ``MAX_PRODUCT_ROWS``."""
-        return self.store.matrix_float()
+        return self.store.matrix()
 
     def probabilities(self) -> dict[Correspondence, float]:
         # Copy the store's frequency view: ProbabilisticNetwork folds

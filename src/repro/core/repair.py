@@ -296,13 +296,13 @@ def greedy_maximalize_mask(
     return cur
 
 
-def wave_maximalize_batch(
+def wave_maximalize_rows(
     engine: ConstraintEngine,
     instances: Sequence[int],
     allowed: int,
     np_rng: Optional[np.random.Generator] = None,
     priorities: Optional[np.ndarray] = None,
-) -> list[int]:
+) -> np.ndarray:
     """Maximalise a whole batch of instances with priority waves.
 
     The batched (Luby-style) counterpart of the scalar
@@ -336,15 +336,15 @@ def wave_maximalize_batch(
     tests use; with neither ``np_rng`` nor ``priorities`` the scan order is
     the deterministic ascending index order, bit-for-bit
     :func:`greedy_maximalize_mask`'s ``rng=None`` behaviour.  Returns the
-    maximal masks in input order.
+    maximal instances in input order as a ``(len(instances), n)`` bool
+    membership matrix — the rows the sample store adopts as Ω* rows, so a
+    refill decodes each emission once.
     """
     count = len(instances)
-    if not count:
-        return []
     free = allowed & engine.violation_free_mask
     base = [instance | free for instance in instances]
-    if not allowed & engine.conflicted_mask:
-        return base
+    if not count or not allowed & engine.conflicted_mask:
+        return engine.selection_matrix(base)
     tables = engine.wave_tables()
     conflicted = tables.conflicted
     m = len(conflicted)
@@ -454,8 +454,7 @@ def wave_maximalize_batch(
     rows[:, conflicted] = (
         np.unpackbits(sel[:m], axis=1, bitorder="little")[:, :count].T
     )
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return rows
 
 
 def repair(

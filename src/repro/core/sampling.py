@@ -15,7 +15,7 @@ through :func:`~repro.core.repair.repair_mask`, Δ is a popcount of an XOR.
 Emissions are *batched*: the walk collects its pre-emission states
 (:meth:`InstanceSampler.walk_states`) and a whole refill's worth is
 maximalised at once by the priority-wave kernel
-:func:`~repro.core.repair.wave_maximalize_batch` (per-emission random
+:func:`~repro.core.repair.wave_maximalize_rows` (per-emission random
 priorities, numpy admission waves) instead of one sequential scan per
 instance.  The store keeps Ω* as a list of masks (plus a cached numpy
 membership matrix for frequency / information-gain reductions) and converts
@@ -45,7 +45,7 @@ from .constraints import kth_set_bit
 from .correspondence import Correspondence
 from .feedback import Feedback
 from .network import MatchingNetwork
-from .repair import repair_mask, wave_maximalize_batch
+from .repair import repair_mask, wave_maximalize_rows
 
 
 def symmetric_difference_size(
@@ -136,7 +136,7 @@ class InstanceSampler:
         deferred: the walk only ever continues from its *own* state, never
         from an emitted instance, so a refill can collect the whole batch
         here and maximalise it in one call to
-        :func:`~repro.core.repair.wave_maximalize_batch`.
+        :func:`~repro.core.repair.wave_maximalize_rows`.
         """
         feedback = feedback or Feedback()
         engine = self.network.engine
@@ -208,7 +208,7 @@ class InstanceSampler:
         chains one more) and all chains advance *simultaneously*, one walk
         step per chain per wave, sharing the engine's mask-space layout —
         the batch of pre-emission states then feeds one
-        :func:`~repro.core.repair.wave_maximalize_batch` call instead of
+        :func:`~repro.core.repair.wave_maximalize_rows` call instead of
         ``chains`` sequential emission scans.
 
         Each chain owns a :class:`random.Random` stream (``rngs``, or
@@ -282,54 +282,43 @@ class InstanceSampler:
                 states[c].append(current[c])
         return states, allowed
 
-    def sample_masks_batch(
-        self,
-        n_samples: int,
-        feedback: Optional[Feedback] = None,
-        chains: Optional[int] = None,
-    ) -> list[int]:
-        """Multi-chain :meth:`sample_masks`: C lockstep chains, one emission.
+    def emit(
+        self, n_samples: int, feedback: Optional[Feedback] = None
+    ) -> tuple[list[int], np.ndarray]:
+        """Walk, then maximalise the whole batch: the one emission path.
 
-        The chains' pre-emission states are concatenated chain-major and the
-        whole batch is maximalised by a single priority-wave call (one
-        ``np_rng`` priority matrix for the refill, exactly like the
-        single-chain path), then deduplicated in that order.  With
-        ``chains=1`` this is bit-for-bit :meth:`sample_masks`.
+        Runs ``n_samples`` walk iterations — one sequential walk, or, for a
+        sampler built with ``chains > 1``, that many lockstep chains
+        (:meth:`walk_states_batch`) concatenated chain-major — and
+        maximalises every state in one priority-wave call (uniform
+        per-emission priorities from ``np_rng``: the same emission
+        distribution as the historical per-instance permutation scan,
+        decided in a few numpy waves).
+
+        Returns every emission's mask *and* its bool membership row, in
+        emission order, repeats included.  The sample store adopts the
+        rows of the masks new to Ω* as matrix rows, so a refill decodes
+        each emission once; :meth:`sample_masks` keeps the masks only.
         """
-        states, allowed = self.walk_states_batch(
-            n_samples, feedback, chains=chains
-        )
-        flat = [state for chain_states in states for state in chain_states]
-        discovered: dict[int, None] = {}
-        for maximal in wave_maximalize_batch(
-            self.network.engine, flat, allowed, np_rng=self.np_rng
-        ):
-            discovered[maximal] = None
-        return list(discovered)
+        if self.chains == 1:
+            states, allowed = self.walk_states(n_samples, feedback)
+        else:
+            per_chain, allowed = self.walk_states_batch(n_samples, feedback)
+            states = [state for chain_states in per_chain for state in chain_states]
+        engine = self.network.engine
+        rows = wave_maximalize_rows(engine, states, allowed, np_rng=self.np_rng)
+        return engine.selection_masks(rows), rows
 
     def sample_masks(
         self, n_samples: int, feedback: Optional[Feedback] = None
     ) -> list[int]:
         """The mask-space hot kernel behind :meth:`sample`.
 
-        Runs ``n_samples`` walk iterations and returns the *distinct*
-        matching instances discovered, as bitmasks in discovery order.  The
-        whole batch of walk states is maximalised at once by the priority-
-        wave kernel (uniform per-emission priorities from ``np_rng`` — the
-        same emission distribution as the historical per-instance
-        permutation scan, decided in a few numpy waves).  A sampler built
-        with ``chains > 1`` collects the states from that many lockstep
-        chains (:meth:`walk_states_batch`) instead of one sequential walk.
+        Runs ``n_samples`` walk iterations (:meth:`emit`) and returns the
+        *distinct* matching instances discovered, as bitmasks in discovery
+        order.
         """
-        if self.chains > 1:
-            return self.sample_masks_batch(n_samples, feedback)
-        states, allowed = self.walk_states(n_samples, feedback)
-        discovered: dict[int, None] = {}
-        for maximal in wave_maximalize_batch(
-            self.network.engine, states, allowed, np_rng=self.np_rng
-        ):
-            discovered[maximal] = None
-        return list(discovered)
+        return list(dict.fromkeys(self.emit(n_samples, feedback)[0]))
 
     def sample(
         self, n_samples: int, feedback: Optional[Feedback] = None
@@ -393,23 +382,26 @@ class SampleStore:
 
     Samples are stored as engine bitmasks; ``samples`` converts to
     frozensets (cached), ``matrix`` exposes the boolean membership matrix
-    that the frequency and information-gain reductions run on.
+    that the frequency and information-gain reductions run on (the one
+    matrix: the gain kernel reads it as bool, no float copy is kept).
 
-    **The Ω*-conditioning invariant.**  The numpy caches (membership matrix,
-    float view, counts, probability vector) are *views over Ω**: row *i*
-    always describes ``_sample_masks[i]``, in order.  An assertion
-    *conditions* Ω* on the asserted bit — it partitions the sample set into
-    the instances containing the correspondence and those not containing it,
-    and keeps the side consistent with the verdict.  The caches are
-    maintained by applying the *same* partition to their rows (and appending
-    rows for top-up discoveries) rather than being torn down and re-derived,
-    so ``record_assertion`` costs one boolean row-filter instead of a full
-    rebuild; ``version`` increments on every mutation so downstream caches
-    (e.g. the probabilistic network's folded vector) can validate cheaply.
+    **The Ω*-conditioning invariant.**  The numpy caches (the bool
+    membership matrix, counts, probability vector) are *views over Ω**:
+    row *i* of the matrix always describes ``_sample_masks[i]``, in order.
+    An assertion *conditions* Ω* on the asserted bit — it partitions the
+    sample set into the instances containing the correspondence and those
+    not containing it, and keeps the side consistent with the verdict.
+    The matrix is maintained by applying the *same* partition to its rows,
+    and a top-up appends the rows its emission already decoded
+    (:meth:`InstanceSampler.emit`) for the masks new to Ω*, so
+    ``record_assertion`` costs one boolean row-filter and a refill no
+    second decode; ``version`` increments on every mutation so downstream
+    caches (e.g. the probabilistic network's folded vector) can validate
+    cheaply.
 
     **The wave/priority invariant.**  Every instance a refill adds to Ω* is
     emitted by the batched priority-wave maximaliser
-    (:func:`~repro.core.repair.wave_maximalize_batch`): each walk state
+    (:func:`~repro.core.repair.wave_maximalize_rows`): each walk state
     draws iid uniform priorities over the conflicted availability and is
     extended to the unique maximal instance the sequential greedy scan in
     increasing-priority order would build.  Because that order is a uniform
@@ -442,7 +434,6 @@ class SampleStore:
         self.version = 0
         self._samples_cache: Optional[tuple[frozenset[Correspondence], ...]] = None
         self._matrix_cache: Optional[np.ndarray] = None
-        self._matrix_float_cache: Optional[np.ndarray] = None
         self._counts_cache: Optional[np.ndarray] = None
         self._prob_vector_cache: Optional[np.ndarray] = None
         self._frequency_cache: Optional[Mapping[Correspondence, float]] = None
@@ -512,7 +503,6 @@ class SampleStore:
         self.version = int(state["version"])
         self._samples_cache = None
         self._matrix_cache = None
-        self._matrix_float_cache = None
         self._counts_cache = None
         self._prob_vector_cache = None
         self._frequency_cache = None
@@ -597,7 +587,6 @@ class SampleStore:
         self.version += 1
         self._samples_cache = None
         self._matrix_cache = None
-        self._matrix_float_cache = None
         self._counts_cache = None
         self._prob_vector_cache = None
         self._frequency_cache = None
@@ -616,15 +605,14 @@ class SampleStore:
         return self.network.engine.selection_matrix(masks)
 
     def _condition_caches(self, index: int, approved: bool) -> None:
-        """Apply the Ω*-partition of one assertion to the cached matrices.
+        """Apply the Ω*-partition of one assertion to the cached matrix.
 
-        Keeps the matrix rows (and the float view) aligned with the filtered
-        ``_sample_masks`` — the view-maintenance counterpart of the mask
-        filter in :meth:`record_assertion`.
+        Keeps the matrix rows aligned with the filtered ``_sample_masks`` —
+        the view-maintenance counterpart of the mask filter in
+        :meth:`record_assertion`.
         """
         matrix = self._matrix_cache
         if matrix is None:
-            self._matrix_float_cache = None
             return
         column = matrix[:, index]
         keep = column if approved else ~column
@@ -633,37 +621,35 @@ class SampleStore:
         matrix = matrix[keep]
         matrix.setflags(write=False)
         self._matrix_cache = matrix
-        fmatrix = self._matrix_float_cache
-        if fmatrix is not None:
-            fmatrix = fmatrix[keep]
-            fmatrix.setflags(write=False)
-            self._matrix_float_cache = fmatrix
 
-    def _append_cached_rows(self, start: int) -> None:
-        """Append membership rows for masks discovered by a top-up."""
+    def _append_rows(
+        self, start: int, rows: Optional[Sequence[np.ndarray]] = None
+    ) -> None:
+        """Append the membership rows of the masks merged since ``start``.
+
+        ``rows`` are the emission's own row blocks for exactly those masks,
+        in merge order; without them the masks are decoded here.
+        """
         matrix = self._matrix_cache
         if matrix is None or start >= len(self._sample_masks):
             return
-        fresh = self._rows_for(self._sample_masks[start:])
-        matrix = np.vstack((matrix, fresh))
+        if rows is None:
+            rows = [self._rows_for(self._sample_masks[start:])]
+        matrix = np.vstack((matrix, *rows))
         matrix.setflags(write=False)
         self._matrix_cache = matrix
-        fmatrix = self._matrix_float_cache
-        if fmatrix is not None:
-            fmatrix = np.vstack((fmatrix, fresh.astype(np.float64)))
-            fmatrix.setflags(write=False)
-            self._matrix_float_cache = fmatrix
 
-    def _merge(self, fresh: Sequence[int]) -> int:
-        """Union new sample masks into the store; return how many were new."""
+    def _merge(self, fresh: Sequence[int]) -> list[int]:
+        """Union new sample masks into the store; return the positions (in
+        ``fresh``) of the masks that were new."""
         existing = self._sample_set
         samples = self._sample_masks
-        added = 0
-        for mask in fresh:
+        added = []
+        for position, mask in enumerate(fresh):
             if mask not in existing:
                 existing.add(mask)
                 samples.append(mask)
-                added += 1
+                added.append(position)
         return added
 
     def record_assertion(self, corr: Correspondence, approved: bool) -> None:
@@ -759,6 +745,7 @@ class SampleStore:
         rather than freezing probabilities on a partial Ω* forever.
         """
         start = len(self._sample_masks)
+        blocks: list[np.ndarray] = []
         fruitless_full_rounds = 0
         escalate = False
         while len(self._sample_masks) < goal:
@@ -766,8 +753,10 @@ class SampleStore:
             if escalate:
                 budget = max(budget, goal)
             full_strength = budget >= goal
-            fresh = self.sampler.sample_masks(budget, self.feedback)
-            if self._merge(fresh):
+            masks, rows = self.sampler.emit(budget, self.feedback)
+            added = self._merge(masks)
+            if added:
+                blocks.append(rows[added])
                 fruitless_full_rounds = 0
                 escalate = False
             else:
@@ -778,7 +767,7 @@ class SampleStore:
                         if len(self._sample_masks) < self.min_samples:
                             self._exhausted = True
                         break
-        self._append_cached_rows(start)
+        self._append_rows(start, blocks)
         self._invalidate_derived()
 
     def matrix(self) -> np.ndarray:
@@ -794,16 +783,6 @@ class SampleStore:
             matrix.setflags(write=False)
             self._matrix_cache = matrix
         return self._matrix_cache
-
-    def matrix_float(self) -> np.ndarray:
-        """The membership matrix as float64 — the dtype the vectorised
-        information-gain reductions consume, cached so the per-assertion
-        selection loop does not re-materialise an S×|C| array per call."""
-        if self._matrix_float_cache is None:
-            matrix = self.matrix().astype(np.float64)
-            matrix.setflags(write=False)
-            self._matrix_float_cache = matrix
-        return self._matrix_float_cache
 
     def counts(self) -> np.ndarray:
         """Per-candidate sample counts over Ω* (int64, frozen, cached)."""

@@ -26,11 +26,7 @@ import numpy as np
 
 from .correspondence import Correspondence
 from .probability import ProbabilisticNetwork
-from .uncertainty import (
-    binary_entropy_cached,
-    information_gain_array,
-    information_gains,
-)
+from .uncertainty import binary_entropy_cached, information_gain_array
 
 
 class SelectionStrategy(abc.ABC):
@@ -108,10 +104,8 @@ class InformationGainSelection(SelectionStrategy):
             # correspondence (zero gain) so effort sweeps can continue, or
             # report completion.
             return _random_unasserted(pnet, self.rng)
-        membership_matrix = getattr(
-            pnet.estimator, "membership_matrix", None
-        )
-        if membership_matrix is None:
+        estimator = pnet.estimator
+        if not hasattr(estimator, "membership_matrix"):
             raise TypeError(
                 "information-gain selection needs a sampling estimator "
                 "exposing membership_matrix (SampledEstimator); use "
@@ -129,10 +123,10 @@ class InformationGainSelection(SelectionStrategy):
                 range(len(columns)), key=entropies.__getitem__, reverse=True
             )[: self.max_candidates]
             columns = columns[order]
-        # One batched gain reduction over the store's cached float matrix —
+        # One batched gain reduction over the store's cached bool matrix —
         # the same array core information_gains funnels through, so the
         # floats (and tie sets) match the mapping API bit-for-bit.
-        gains = information_gain_array(membership_matrix(), columns)
+        gains = information_gain_array(estimator.membership_matrix(), columns)
         best = np.flatnonzero(gains == gains.max())
         choice = best[self.rng.randrange(len(best))]
         return pnet.correspondences[int(columns[choice])]
@@ -149,22 +143,21 @@ def rank_by_information_gain(
     gains shift, so the list is a prioritisation, not a guarantee of
     additive gain.
     """
-    uncertain = pnet.uncertain_correspondences()
-    if not uncertain:
+    columns = pnet.uncertain_indices()
+    if not len(columns):
         return []
-    membership_matrix = getattr(pnet.estimator, "membership_matrix", None)
-    if membership_matrix is None:
+    estimator = pnet.estimator
+    if not hasattr(estimator, "membership_matrix"):
         raise TypeError(
             "information-gain ranking needs a sampling estimator exposing "
             "membership_matrix (SampledEstimator)"
         )
-    gains = information_gains(
-        (),
-        pnet.correspondences,
-        restrict_to=uncertain,
-        matrix=membership_matrix(),
+    gains = information_gain_array(estimator.membership_matrix(), columns)
+    correspondences = pnet.correspondences
+    ranked = sorted(
+        zip((correspondences[i] for i in columns.tolist()), gains.tolist()),
+        key=lambda item: (-item[1], item[0]),
     )
-    ranked = sorted(gains.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k] if k is not None else ranked
 
 

@@ -142,25 +142,6 @@ def sample_matrix(
     return matrix
 
 
-def _entropy_of_frequencies(frequencies: np.ndarray) -> float:
-    """Σ H_b(p) over a frequency vector, vectorised."""
-    p = np.clip(frequencies, 0.0, 1.0)
-    interior = (p > 0.0) & (p < 1.0)
-    q = p[interior]
-    if q.size == 0:
-        return 0.0
-    return float(-(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q)).sum())
-
-
-def _entropy_rows(probabilities: np.ndarray) -> np.ndarray:
-    """Row-wise Σ H_b(p): one conditional network entropy per row."""
-    q = np.clip(probabilities, 0.0, 1.0)
-    interior = (q > 0.0) & (q < 1.0)
-    safe = np.where(interior, q, 0.5)
-    h = -(safe * np.log2(safe) + (1.0 - safe) * np.log2(1.0 - safe))
-    return np.where(interior, h, 0.0).sum(axis=1)
-
-
 #: Cache for :func:`_entropy_table`: denominator → H_b(k/d) lookup vector.
 _ENTROPY_TABLES: dict[int, np.ndarray] = {}
 
@@ -189,69 +170,117 @@ def _entropy_table(denominator: int) -> np.ndarray:
     return table
 
 
-def _entropy_rows_from_counts(
-    counts: np.ndarray, denominators: np.ndarray
-) -> np.ndarray:
-    """Row-wise Σ H_b(count/denominator) via the per-denominator tables.
+def _ragged_entropy_table(
+    plus: np.ndarray, minus: np.ndarray, total: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entropy tables of one call's distinct denominators, end to end.
 
-    ``counts`` is an integer matrix (one row per target partition),
-    ``denominators`` the per-row partition size; rows with a zero
-    denominator yield 0 (their partition is empty, hence entropy-free).
+    Returns ``(flat, offset_of)`` with ``H_b(k/d) = flat[offset_of[d] + k]``
+    for every denominator ``d`` in ``plus`` or ``minus`` (all in
+    ``1..total-1``).  ``flat`` holds Σ(d + 1) entries over the *distinct*
+    denominators only and ``offset_of`` is one O(total) lookup vector, so
+    the temporaries stay linear in the partition sizes — a square
+    ``(total + 1)²`` table would not fit in memory for a product matrix.
+    The per-denominator tables are the cached :func:`_entropy_table` ones,
+    so the gathered values are bit-for-bit theirs.
     """
-    out = np.zeros(counts.shape[0], dtype=np.float64)
-    for denominator in np.unique(denominators).tolist():
-        if denominator <= 0:
-            continue
-        rows = np.flatnonzero(denominators == denominator)
-        table = _entropy_table(int(denominator))
-        out[rows] = table[counts[rows]].sum(axis=1)
-    return out
+    present = np.zeros(total, dtype=bool)
+    present[plus] = True
+    present[minus] = True
+    denominators = np.flatnonzero(present)
+    sizes = denominators + 1
+    offset_of = np.zeros(total, dtype=np.intp)
+    offset_of[denominators] = np.cumsum(sizes) - sizes
+    flat = np.concatenate([_entropy_table(d) for d in denominators.tolist()])
+    return flat, offset_of
+
+
+#: Rows of the entropy gather handled per block in
+#: :func:`information_gain_array`.
+_GATHER_ROWS = 64
+
+
+def _column_counts(source: np.ndarray) -> np.ndarray:
+    """Column sums of a 0/1 uint8 matrix, as intp (the gather index dtype).
+
+    Summed in blocks of 255 rows, whose uint8 sums cannot overflow, so
+    numpy adds bytes without a per-element cast — several times faster
+    than one int32 reduction over the whole matrix.
+    """
+    counts = np.zeros(source.shape[1], dtype=np.intp)
+    for start in range(0, source.shape[0], 255):
+        counts += source[start : start + 255].sum(axis=0, dtype=np.uint8)
+    return counts
 
 
 def information_gain_array(
     matrix: np.ndarray,
     columns: np.ndarray,
 ) -> np.ndarray:
-    """Batched IG for the target ``columns`` of a sample-membership matrix.
+    """Batched IG for the target ``columns`` of a 0/1 sample-membership matrix.
 
-    This is the array core behind :func:`information_gains` and the
-    information-gain selection strategy; both funnel through it so the gain
-    floats (and hence argmax tie-breaks) are bit-for-bit identical no matter
-    which API computed them.  All per-target partition counts come from one
-    co-occurrence product ``Mᵀ[targets] @ M``: row *t* holds, for every
-    candidate, the number of samples containing both *t* and the candidate —
-    exactly the positive-partition count vector (the negative partition is
-    its complement against the global counts).
+    This is the one gain kernel: the information-gain strategy, crowd
+    question ranking, :func:`rank_by_information_gain` and the mapping API
+    :func:`information_gains` all funnel through it, so the gain floats
+    (and hence argmax tie-breaks) are bit-for-bit identical no matter which
+    caller computed them.  ``matrix`` is the store's boolean Ω* matrix (any
+    0/1 dtype works); its integer column counts are taken once per call.
+
+    Only *live* columns — neither absent from nor present in every sample —
+    can contribute entropy to either partition, and a target is informative
+    exactly when it is live, so the live block is gathered once and every
+    partition count comes from its Gram matrix: row *t* of ``Bᵀ B`` holds,
+    for every live candidate, the number of samples containing both *t* and
+    the candidate — the positive-partition count vector (the negative
+    partition is its complement against the column counts).  The product
+    runs in float32, exact for counts below 2²⁴.  All 2·|targets| partition
+    entropies then come from flat gathers into the call's ragged
+    per-denominator table (:func:`_ragged_entropy_table`), summed per row.
     """
+    columns = np.asarray(columns, dtype=np.intp)
+    gains = np.zeros(len(columns), dtype=np.float64)
     total = int(matrix.shape[0])
     if total == 0 or len(columns) == 0:
-        return np.zeros(len(columns), dtype=np.float64)
-    dense = np.asarray(matrix, dtype=np.float64)  # no copy when already f64
-    counts = dense.sum(axis=0)
-    counts_int = counts.astype(np.int64)
-    current_uncertainty = float(_entropy_table(total)[counts_int].sum())
+        return gains
+    # ``take`` over a bool matrix runs markedly faster through a uint8 view.
+    source = np.asarray(matrix, dtype=bool).view(np.uint8)
+    counts = _column_counts(source)
+    current_uncertainty = float(_entropy_table(total)[counts].sum())
+    n_with = counts[columns]
+    informative = np.flatnonzero((n_with > 0) & (n_with < total))
+    if not len(informative):
+        return gains
 
-    # Only *live* columns — neither absent from nor present in every sample —
-    # can contribute entropy to either partition (a global count of 0 or
-    # |Ω*| stays 0 or partition-size on both sides, and H_b is then 0), so
-    # the co-occurrence product and the entropy gathers run on them alone.
-    live = np.flatnonzero((counts_int > 0) & (counts_int < total))
-    n_with = counts_int[columns]
-    n_without = total - n_with
-    informative = (n_with > 0) & (n_without > 0)
-    if not len(live) or not informative.any():
-        return np.zeros(len(columns), dtype=np.float64)
-
-    cooccurrence = (dense[:, columns].T @ dense[:, live]).astype(np.int64)
-    entropy_plus = _entropy_rows_from_counts(cooccurrence, n_with)
-    entropy_minus = _entropy_rows_from_counts(
-        counts_int[live][None, :] - cooccurrence, n_without
-    )
-    p = counts[columns] / total
-    conditional = p * entropy_plus + (1.0 - p) * entropy_minus
-    return np.where(
-        informative, np.maximum(0.0, current_uncertainty - conditional), 0.0
-    )
+    live_mask = (counts > 0) & (counts < total)
+    live = np.flatnonzero(live_mask)
+    exact = np.float32 if total < 1 << 24 else np.float64
+    block = source.take(live, axis=1).astype(exact)
+    # Targets are live columns; the Gram's row t is target t's counts.
+    rows = (np.cumsum(live_mask) - 1)[columns[informative]]
+    plus = n_with[informative]
+    minus = total - plus
+    flat, offset_of = _ragged_entropy_table(plus, minus, total)
+    # One (2k × live) buffer holds the co-occurrence counts and then the
+    # plus/minus gather index: at this size every fresh temporary costs
+    # page faults.
+    k = len(rows)
+    index = np.empty((2 * k, len(live)), dtype=np.intp)
+    cooccurrence = index[k:]
+    cooccurrence[...] = (block.T @ block)[rows]
+    np.add(cooccurrence, offset_of[plus][:, None], out=index[:k])
+    np.subtract(counts[live], cooccurrence, out=cooccurrence)
+    cooccurrence += offset_of[minus][:, None]
+    # Gather and sum in row blocks: a block's entropies stay in cache
+    # between the gather and the row sum, where one (2k × live) float64
+    # result would be a fresh multi-megabyte allocation per call.
+    entropy = np.empty(2 * k, dtype=np.float64)
+    for start in range(0, 2 * k, _GATHER_ROWS):
+        stop = start + _GATHER_ROWS
+        entropy[start:stop] = flat.take(index[start:stop]).sum(axis=1)
+    p = plus / total
+    conditional = p * entropy[:k] + (1.0 - p) * entropy[k:]
+    gains[informative] = np.maximum(0.0, current_uncertainty - conditional)
+    return gains
 
 
 def information_gains(
@@ -260,18 +289,17 @@ def information_gains(
     restrict_to: Optional[Iterable[Correspondence]] = None,
     matrix: Optional[np.ndarray] = None,
 ) -> dict[Correspondence, float]:
-    """IG for every (or a restricted set of) correspondence, vectorised.
+    """IG for every (or a restricted set of) correspondence, as a mapping.
 
-    Pass ``matrix`` (a boolean sample-membership matrix with columns aligned
-    to ``correspondences``, e.g. :meth:`SampleStore.matrix`) to skip
-    re-densifying the frozenset samples — the selection loop does this on
-    every step; ``samples`` is then ignored and may be empty.  All per-target partition counts come from one co-occurrence
-    product ``Mᵀ[targets] @ M``: row *t* holds, for every candidate, the
-    number of samples containing both *t* and the candidate, which is
-    exactly the positive-partition count vector (and the negative partition
-    is its complement against the global counts).  Overall cost is one
-    (|targets| × |samples|) · (|samples| × |C|) matrix product plus
-    elementwise entropy reductions — no Python-level per-target loop.
+    The mapping front-end of :func:`information_gain_array`: targets are
+    resolved to columns of ``correspondences`` (targets outside it gain 0)
+    and the gains come from the one kernel, so they equal the array API's
+    bit-for-bit.
+
+    Pass ``matrix`` — a bool sample-membership matrix with columns aligned
+    to ``correspondences``, e.g. :meth:`SampleStore.matrix` — to skip
+    densifying the frozenset ``samples``, which are then ignored and may be
+    empty.
     """
     correspondences = tuple(correspondences)
     targets = tuple(restrict_to) if restrict_to is not None else correspondences

@@ -656,13 +656,18 @@ def save_checkpoint(
     """Atomically write a session checkpoint (temp file + ``os.replace``).
 
     A crash mid-save therefore leaves either the previous checkpoint or the
-    new one — never a torn file.
+    new one — never a torn file.  The document is encoded in one
+    ``json.dumps`` call (CPython's C encoder; ``json.dump`` streams through
+    the pure-Python one, same bytes) *before* the temp file is opened, so
+    a document that cannot be encoded leaves no stray temp file either.
     """
     path = pathlib.Path(path)
-    document = checkpoint_to_dict(session)
+    text = json.dumps(
+        checkpoint_to_dict(session), sort_keys=True, default=_json_default
+    )
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w") as handle:
-        json.dump(document, handle, sort_keys=True, default=_json_default)
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

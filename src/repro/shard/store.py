@@ -116,7 +116,7 @@ class EnumeratingSampleStore(SampleStore):
         # regardless of min_samples (unlike walk saturation, which only
         # claims completeness below the minimum).
         self._exhausted = True
-        self._append_cached_rows(start)
+        self._append_rows(start)
         self._invalidate_derived()
 
 
@@ -222,7 +222,7 @@ class ShardedSampleStore:
     """Ω* maintained shard-by-shard, merged exactly at the boundary.
 
     Answers the :class:`~repro.core.sampling.SampleStore` surface the
-    estimator layer consumes — ``probability_vector``, ``matrix_float``,
+    estimator layer consumes — ``probability_vector``, ``matrix``,
     ``frequencies``, ``record_assertion``, ``retract_approval``,
     ``apply_delta``, ``version``, ``get_state``/``from_state`` — but
     every operation dispatches to the single shard that
@@ -290,7 +290,7 @@ class ShardedSampleStore:
             for position, indices in enumerate(self.plan.shards)
         ]
         self._vector_cache: Optional[np.ndarray] = None
-        self._matrix_float_cache: Optional[np.ndarray] = None
+        self._matrix_cache: Optional[np.ndarray] = None
         self._pool = None
         self._pool_workers: Optional[int] = None
         if fill:
@@ -586,7 +586,7 @@ class ShardedSampleStore:
     def _invalidate(self) -> None:
         self.version += 1
         self._vector_cache = None
-        self._matrix_float_cache = None
+        self._matrix_cache = None
 
     def _patch_vector(self, shard: Optional[Shard], corr: Correspondence,
                       free_value: float) -> None:
@@ -600,7 +600,7 @@ class ShardedSampleStore:
         matrices stay fully invalidated (their rows change shape).
         """
         self.version += 1
-        self._matrix_float_cache = None
+        self._matrix_cache = None
         if self._vector_cache is None:
             return
         vector = self._vector_cache.copy()
@@ -649,8 +649,8 @@ class ShardedSampleStore:
             rows *= len(shard.store)
         return rows
 
-    def matrix_float(self) -> np.ndarray:
-        """The *product* membership matrix, globally indexed (float64).
+    def matrix(self) -> np.ndarray:
+        """The *product* membership matrix, globally indexed (bool).
 
         Row set = Ω (every combination of one instance per shard, free
         candidates in all rows), materialised with mixed-radix
@@ -662,7 +662,7 @@ class ShardedSampleStore:
         estimator is out of budget by construction — use a strategy that
         needs only the merged probability vector.
         """
-        if self._matrix_float_cache is None:
+        if self._matrix_cache is None:
             rows = self._product_rows()
             if rows > MAX_PRODUCT_ROWS:
                 # Name the offending factors: the product is ∏|Ω_s| over
@@ -690,26 +690,26 @@ class ShardedSampleStore:
                     "counts at the sampling target instead of enumerating "
                     "exactly)"
                 )
-            matrix = np.zeros((rows, self.network.engine.n), dtype=np.float64)
+            matrix = np.zeros((rows, self.network.engine.n), dtype=bool)
             if rows and len(self._free):
-                matrix[:, self._free] = 1.0
+                matrix[:, self._free] = True
                 index_of = self.network.engine.index_of
                 for corr in self.feedback.disapproved:
                     index = index_of.get(corr)
                     if index is not None and self._owner.get(index) is None:
-                        matrix[:, index] = 0.0
+                        matrix[:, index] = False
             outer = 1
             for shard in self.shards:
                 count = len(shard.store)
                 inner = rows // (outer * count) if count else 0
-                block = shard.store.matrix_float()
+                block = shard.store.matrix()
                 matrix[:, shard.columns] = np.tile(
                     np.repeat(block, inner, axis=0), (outer, 1)
                 )
                 outer *= count
             matrix.setflags(write=False)
-            self._matrix_float_cache = matrix
-        return self._matrix_float_cache
+            self._matrix_cache = matrix
+        return self._matrix_cache
 
     @property
     def exhausted(self) -> bool:

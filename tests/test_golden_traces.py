@@ -255,3 +255,32 @@ class TestGoldenCheckpointFormat:
                 "sampler": {**expected["sampler"], "chains": 1},
             }
         assert rewritten["pnet"] == expected
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "golden_crowd_checkpoint_round3.json",
+            "golden_expert_checkpoint_postdelta.json",
+        ],
+    )
+    def test_save_writes_the_streaming_encoder_bytes(self, name, tmp_path):
+        """``save_checkpoint`` encodes with ``json.dumps`` (the C encoder);
+        the file must hold exactly what the streaming ``json.dump`` writes."""
+        import io
+        import json
+        import pathlib
+
+        from repro.durability import restore_session, save_checkpoint
+        from repro.durability.checkpoint import _json_default, checkpoint_to_dict
+
+        session = restore_session(pathlib.Path(__file__).parent / "data" / name)
+        streamed = io.StringIO()
+        json.dump(
+            checkpoint_to_dict(session),
+            streamed,
+            sort_keys=True,
+            default=_json_default,
+        )
+        written = save_checkpoint(session, tmp_path / "checkpoint.json")
+        assert written.read_text() == streamed.getvalue()
+        assert not (tmp_path / "checkpoint.json.tmp").exists()

@@ -31,6 +31,7 @@ from repro.core import (
     is_matching_instance,
 )
 from repro.core import sampling as sampling_module
+from repro.core.repair import wave_maximalize_rows
 from repro.experiments.harness import synthetic_network
 
 
@@ -110,12 +111,20 @@ class TestMultiChainParity:
     def test_spawned_streams_deterministic(self, small_network):
         one = InstanceSampler(small_network, rng=random.Random(13), chains=3)
         two = InstanceSampler(small_network, rng=random.Random(13), chains=3)
-        assert one.sample_masks_batch(30) == two.sample_masks_batch(30)
+        assert one.sample_masks(30) == two.sample_masks(30)
 
     def test_multichain_sampler_routes_through_batch(self, small_network):
         direct = InstanceSampler(small_network, rng=random.Random(4), chains=3)
         explicit = InstanceSampler(small_network, rng=random.Random(4), chains=3)
-        assert direct.sample_masks(30) == explicit.sample_masks_batch(30)
+        states, allowed = explicit.walk_states_batch(30)
+        flat = [state for chain_states in states for state in chain_states]
+        engine = small_network.engine
+        rows = wave_maximalize_rows(
+            engine, flat, allowed, np_rng=explicit.np_rng
+        )
+        assert direct.sample_masks(30) == list(
+            dict.fromkeys(engine.selection_masks(rows))
+        )
 
     def test_multichain_emissions_are_instances(self, small_network):
         sampler = InstanceSampler(small_network, rng=random.Random(6), chains=4)

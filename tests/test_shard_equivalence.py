@@ -204,8 +204,10 @@ class TestTraceEquivalence:
             target_samples=TARGET_SAMPLES,
             rng=random.Random(0),
         )
-        a = plain.membership_matrix()
-        b = sharded.membership_matrix()
+        # Both matrices are bool; count in int64 (a bool ``@`` would
+        # collapse co-occurrence counts to logical OR-of-ANDs).
+        a = plain.membership_matrix().astype(np.int64)
+        b = sharded.membership_matrix().astype(np.int64)
         assert a.shape == b.shape
         assert np.array_equal(a.sum(axis=0), b.sum(axis=0))
         assert np.array_equal(a.T @ a, b.T @ b)
@@ -349,7 +351,7 @@ class TestShardedStoreMechanics:
 
         monkeypatch.setattr(shard_store, "MAX_PRODUCT_ROWS", 8)
         with pytest.raises(ValueError, match="likelihood"):
-            store.matrix_float()
+            store.matrix()
         assert MAX_PRODUCT_ROWS > 8  # the real guard is untouched
 
     def test_free_candidates_probability(self, fixture):

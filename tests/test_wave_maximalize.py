@@ -1,7 +1,8 @@
 """Tests for the batched priority-wave maximaliser (the sampler's emission
 kernel).
 
-Three layers pin ``wave_maximalize_batch`` to the scalar reference:
+Three layers pin ``wave_maximalize_rows`` (decoded to masks) to the scalar
+reference:
 
 1. **Deterministic parity** — with neither ``np_rng`` nor ``priorities``
    the wave schedule must equal ``greedy_maximalize_mask(rng=None)``
@@ -31,9 +32,16 @@ from repro.core import (
     MutualExclusionConstraint,
     Schema,
     correspondence,
-    wave_maximalize_batch,
+    wave_maximalize_rows,
 )
 from repro.core.repair import greedy_maximalize_mask
+
+def _wave_masks(engine, states, allowed, **kwargs):
+    """The wave kernel's rows, as the selection masks the store keeps."""
+    return engine.selection_masks(
+        wave_maximalize_rows(engine, states, allowed, **kwargs)
+    )
+
 
 common_settings = settings(
     max_examples=25,
@@ -92,7 +100,7 @@ class TestDeterministicParity:
     def test_matches_scalar_kernel_bit_for_bit(self, case, seed):
         engine = case.engine
         states, allowed = _walk_batch(case, seed)
-        batched = wave_maximalize_batch(engine, states, allowed)
+        batched = _wave_masks(engine, states, allowed)
         assert batched == [
             greedy_maximalize_mask(engine, state, allowed) for state in states
         ]
@@ -100,12 +108,12 @@ class TestDeterministicParity:
     def test_respects_disapproved(self, movie_network, movie_correspondences):
         engine = movie_network.engine
         states, allowed = _walk_batch(movie_network, 3, disapprove_first=2)
-        for mask in wave_maximalize_batch(engine, states, allowed):
+        for mask in _wave_masks(engine, states, allowed):
             assert not (mask & ~allowed & engine.full_mask)
             assert engine.mask_is_consistent(mask)
 
     def test_empty_batch(self, movie_network):
-        assert wave_maximalize_batch(movie_network.engine, [], 0) == []
+        assert _wave_masks(movie_network.engine, [], 0) == []
 
     def test_conflict_free_network(self, movie_schemas, movie_correspondences):
         c = movie_correspondences
@@ -114,7 +122,7 @@ class TestDeterministicParity:
         )
         engine = network.engine
         full = engine.full_mask
-        assert wave_maximalize_batch(engine, [0, full], full) == [full, full]
+        assert _wave_masks(engine, [0, full], full) == [full, full]
 
 
 class TestFixedPriorityParity:
@@ -127,7 +135,7 @@ class TestFixedPriorityParity:
         engine = case.engine
         states, allowed = _walk_batch(case, seed, count=8)
         priorities = np.random.default_rng(seed).random((len(states), engine.n))
-        batched = wave_maximalize_batch(
+        batched = _wave_masks(
             engine, states, allowed, priorities=priorities
         )
         for state, row, mask in zip(states, priorities, batched):
@@ -137,7 +145,7 @@ class TestFixedPriorityParity:
         engine = movie_network.engine
         states, allowed = _walk_batch(movie_network, 5, count=6)
         priorities = np.zeros((len(states), engine.n))
-        batched = wave_maximalize_batch(
+        batched = _wave_masks(
             engine, states, allowed, priorities=priorities
         )
         # All-equal priorities reduce to the ascending-index scan.
@@ -149,7 +157,7 @@ class TestFixedPriorityParity:
         engine = movie_network.engine
         states, allowed = _walk_batch(movie_network, 1, count=3)
         with pytest.raises(ValueError, match="priorities"):
-            wave_maximalize_batch(
+            _wave_masks(
                 engine, states, allowed, priorities=np.zeros((2, engine.n))
             )
 
@@ -164,7 +172,7 @@ class TestFixedPriorityParity:
         priorities = np.zeros((len(states), engine.n))
         priorities[0, mask_indices(engine.conflicted_mask)[0]] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            wave_maximalize_batch(
+            _wave_masks(
                 engine, states, allowed, priorities=priorities
             )
 
@@ -180,7 +188,7 @@ class TestEmissionInvariants:
         drop = seed % 3
         states, allowed = _walk_batch(case, seed, disapprove_first=drop)
         excluded = engine.full_mask & ~allowed
-        for mask in wave_maximalize_batch(
+        for mask in _wave_masks(
             engine, states, allowed, np_rng=np.random.default_rng(seed)
         ):
             assert engine.mask_is_consistent(mask)
@@ -213,7 +221,7 @@ class TestEmissionInvariants:
         engine = network.engine
         banned_bit = engine.bits[engine.index_of[banned]]
         states, allowed = _walk_batch(network, 2, count=8)
-        for mask in wave_maximalize_batch(
+        for mask in _wave_masks(
             engine, states, allowed, np_rng=np.random.default_rng(0)
         ):
             assert not (mask & banned_bit)
@@ -237,7 +245,7 @@ class TestEmissionInvariants:
         engine = network.engine
         states, allowed = _walk_batch(network, 9, count=10)
         forbidden = engine.mask_of(exclusion)
-        for mask in wave_maximalize_batch(
+        for mask in _wave_masks(
             engine, states, allowed, np_rng=np.random.default_rng(1)
         ):
             assert mask & forbidden != forbidden
@@ -266,7 +274,7 @@ class TestEmissionInvariants:
         engine = network.engine
         states, allowed = _walk_batch(network, 4, count=6)
         banned_mask = engine.mask_of(banned)
-        batched = wave_maximalize_batch(
+        batched = _wave_masks(
             engine, states, allowed, np_rng=np.random.default_rng(2)
         )
         assert batched == [
